@@ -7,9 +7,10 @@ with the sandwich estimator and fits the decay order in hbar.
 
 The time grid is matched to the truncation radius so that the
 observable's ballistic spread stays well inside the mode window and
-every record is clean.  For this Hamiltonian/observable pair the decay
-is order ~2, not 1: every interacting mode pair has pairing +-1, which
-activates the symmetry-improved remainder.
+every record is clean.  The decay is order ~2, not 1: the quantum
+generator weight (2 pi / hbar) sin(2 pi hbar p.Jq) and the classical
+one 4 pi^2 p.Jq differ at O(hbar^2) for every mode pair, whatever its
+pairing p.Jq.
 
 Run:  python3 demos/03_semiclassical_limit.py   (about a minute)
 """

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from .deform import (
@@ -21,7 +20,7 @@ from .deform import (
 )
 from .cstar import op_norm_estimate
 from .errors import ConfigError, NCTorusError
-from .flow import flow_points, hamiltonian_vector_field, pullback
+from .flow import flow_points, hamiltonian_vector_field, pullback, step_count
 from .harness import ExperimentConfig, commutator_limit_scan, scan
 from .lattice import FourierElement
 from .quantum import QuantumHamiltonian, heisenberg_evolve
@@ -131,12 +130,12 @@ def _dispatch(args):
     elif args.command == "flow":
         phi = hamiltonian_vector_field(args.hamiltonian, args.J)
         points = json.loads(args.points)
-        steps = max(1, math.ceil(abs(args.t) / args.step))
+        steps = step_count(args.t, args.step)
         result = flow_points(phi, points, args.t, steps, jacobians=args.jacobians)
         sys.stdout.write(result.to_csv(points))
     elif args.command == "evolve-quantum":
         qh = QuantumHamiltonian(args.hamiltonian, PlanckParam(args.hbar))
-        steps = max(1, round(abs(args.t) / args.step))
+        steps = step_count(args.t, args.step)
         res = heisenberg_evolve(
             args.f, qh, args.t, args.J, steps, trunc_radius=args.trunc_radius
         )

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import RealityError, SpectralResolutionError, UnderResolvedGridError
 from .lattice import (
     FourierElement,
+    _coalesce,
     partial_derivative,
     pointwise_mul,
     seminorm,
@@ -118,6 +119,15 @@ def delta_phi(f, Phi, cap=None):
     for j in range(f.dim):
         out = out + pointwise_mul(Phi.components[j], partial_derivative(f, j), **kwargs)
     return out
+
+
+def step_count(t, step):
+    """Fewest steps of size <= `step` covering |t|, at least 1.
+
+    Rounding |t| / step to 9 decimals keeps float overshoot
+    (1.1 / 0.1 = 11.000000000000002) from adding a step.
+    """
+    return max(1, math.ceil(round(abs(t) / step, 9)))
 
 
 @dataclass(frozen=True)
@@ -223,14 +233,14 @@ def pullback(
     grid : int
         Per-axis resolution G; must satisfy G >= 2 * trunc_radius + 2.
     steps : int, optional
-        RK4 step count; defaults to ceil(|t| / ode_step).
+        RK4 step count; defaults to `step_count(t, ode_step)`.
     """
     if grid < 2 * trunc_radius + 2:
         raise UnderResolvedGridError(
             f"grid {grid} below anti-aliasing margin for radius {trunc_radius}"
         )
     if steps is None:
-        steps = max(1, math.ceil(abs(t) / ode_step)) if t != 0.0 else 1
+        steps = step_count(t, ode_step)
     d = f.dim
     axes = [np.arange(grid) / grid] * d
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -244,9 +254,7 @@ def pullback(
     flat = coeffs.reshape(-1)
     inside = np.abs(modes).max(axis=1) <= trunc_radius
     discarded = float(np.abs(flat[~inside]).sum())
-    element = FourierElement(
-        d, zip(map(tuple, modes[inside].tolist()), flat[inside].tolist())
-    )
+    element = FourierElement._raw(d, *_coalesce(d, modes[inside], flat[inside]))
     if alias_tol is not None and discarded > alias_tol:
         raise SpectralResolutionError(
             f"discarded spectral mass {discarded:.3g} exceeds alias tolerance",
@@ -332,7 +340,7 @@ def lipschitz_check(Phi, t, pairs, steps=None, ode_step=1e-3, slack=1e-6):
     """
     pairs = np.asarray(pairs, dtype=np.float64)
     if steps is None:
-        steps = max(1, math.ceil(abs(t) / ode_step)) if t != 0.0 else 1
+        steps = step_count(t, ode_step)
     n = pairs.shape[0]
     xs, ys = pairs[:, 0, :], pairs[:, 1, :]
     fx = flow_points(Phi, xs, t, steps).points

@@ -13,9 +13,10 @@ from __future__ import annotations
 import io
 import json
 import math
+import numbers
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,7 @@ from .deform import (
     scaled_commutator_residual,
 )
 from .errors import ConfigError, SpectralResolutionError
-from .flow import hamiltonian_vector_field, pullback
+from .flow import hamiltonian_vector_field, pullback, step_count
 from .lattice import FourierElement
 from .quantum import QuantumHamiltonian, heisenberg_evolve
 
@@ -63,17 +64,29 @@ class ExperimentConfig:
     max_discarded_mass: float = 1e-6
 
     def __post_init__(self):
-        if not self.hbar_grid or not self.t_grid:
-            raise ConfigError("hbar_grid and t_grid must be nonempty")
+        for name in ("hbar_grid", "t_grid", "ratio_band"):
+            grid = getattr(self, name)
+            if not isinstance(grid, (list, tuple)) or not grid or not all(
+                isinstance(x, numbers.Real) and math.isfinite(x) for x in grid
+            ):
+                raise ConfigError(f"{name} must be a nonempty list of finite numbers")
         for h in self.hbar_grid:
             if h == 0.0 or not -1.0 <= h <= 1.0:
                 raise ConfigError(f"hbar {h} must be nonzero and within [-1, 1]")
+        if len(self.ratio_band) != 2 or self.ratio_band[0] > self.ratio_band[1]:
+            raise ConfigError("ratio_band must be [lo, hi] with lo <= hi")
+        if not self.hamiltonian.dim == self.observable.dim == self.J.dim:
+            raise ConfigError("H, f and J must have the same torus dimension")
+        if self.hamiltonian.n_modes == 0:
+            raise ConfigError("Hamiltonian has no modes")
         if not self.hamiltonian.is_real():
             raise ConfigError("Hamiltonian fails the reality test")
-        if self.ode_step <= 0:
-            raise ConfigError("ode_step must be positive")
-        if self.trunc_radius < 1 or self.norm_window < 1:
-            raise ConfigError("trunc_radius and norm_window must be >= 1")
+        step = self.ode_step
+        if not isinstance(step, numbers.Real) or not 0 < step < math.inf:
+            raise ConfigError("ode_step must be a finite positive number")
+        for radius in (self.trunc_radius, self.norm_window):
+            if not isinstance(radius, numbers.Integral) or radius < 1:
+                raise ConfigError("trunc_radius and norm_window must be integers >= 1")
 
     @classmethod
     def from_dict(cls, data):
@@ -83,26 +96,12 @@ class ExperimentConfig:
             J = SymplecticStructure(data["J"])
         except (KeyError, ValueError, TypeError) as exc:
             raise ConfigError(f"bad config: {exc}") from exc
-        kwargs = {}
-        for key in (
-            "hbar_grid",
-            "t_grid",
-            "ode_step",
-            "trunc_radius",
-            "norm_window",
-            "series_tol",
-            "alias_tol",
-            "norm_tol",
-            "output_dir",
-            "min_fit_order",
-            "ratio_band",
-            "max_discarded_mass",
-        ):
-            if key in data:
-                value = data[key]
-                if isinstance(value, list):
-                    value = tuple(value)
-                kwargs[key] = value
+        keys = {fld.name for fld in fields(cls)} - {"hamiltonian", "observable", "J"}
+        kwargs = {
+            k: tuple(v) if isinstance(v, list) else v
+            for k, v in data.items()
+            if k in keys
+        }
         return cls(hamiltonian=H, observable=f, J=J, **kwargs)
 
     @classmethod
@@ -143,29 +142,28 @@ def egorov_error(f, H, hbar, t, J, config, _pullback_cache=None):
     Computes Q by the Heisenberg ODE and C by the spectral pullback at
     a widened evolution radius, restricts the difference to the norm
     window, and returns the sandwich-certified estimate with truncation
-    metadata.  Truncation or aliasing beyond the configured thresholds
-    flags the record invalid rather than dropping it.
+    metadata.  Truncation or aliasing beyond the configured thresholds,
+    or a norm residual above `norm_tol`, flags the record invalid rather
+    than dropping it.
     """
     start = time.perf_counter()
     phi = hamiltonian_vector_field(H, J)
     n_ev = evolution_radius(config.trunc_radius, t, phi.max_component_l1())
-    steps = max(1, round(abs(t) / config.ode_step)) if t != 0.0 else 1
+    steps = step_count(t, config.ode_step)
 
     qh = QuantumHamiltonian(H, PlanckParam(hbar))
     Q = heisenberg_evolve(f, qh, t, J, steps, trunc_radius=n_ev)
 
-    note = ""
-    valid = True
+    notes = []
     if _pullback_cache is not None and t in _pullback_cache:
         C = _pullback_cache[t]
     else:
         grid = 2 * n_ev + 4
         try:
             C = pullback(f, phi, t, grid, n_ev, steps=steps, alias_tol=config.alias_tol)
-        except SpectralResolutionError as exc:
+        except SpectralResolutionError:
             C = pullback(f, phi, t, grid, n_ev, steps=steps)
-            note = "alias tolerance exceeded"
-            valid = False
+            notes.append("alias tolerance exceeded")
         if _pullback_cache is not None:
             _pullback_cache[t] = C
 
@@ -176,10 +174,11 @@ def egorov_error(f, H, hbar, t, J, config, _pullback_cache=None):
     est = op_norm_estimate(
         restricted, PlanckParam(hbar), J, window=config.norm_window, tol=config.norm_tol
     )
+    if est.residual > config.norm_tol:
+        notes.append("norm estimate unconverged")
     discarded = Q.discarded_mass + C.discarded_mass
     if discarded > config.max_discarded_mass:
-        valid = False
-        note = (note + "; " if note else "") + "discarded mass above threshold"
+        notes.append("discarded mass above threshold")
     return ErrorRecord(
         hbar=hbar,
         t=t,
@@ -187,8 +186,8 @@ def egorov_error(f, H, hbar, t, J, config, _pullback_cache=None):
         discarded_mass=discarded,
         window_dropped=window_dropped,
         wall_time=time.perf_counter() - start,
-        valid=valid,
-        note=note,
+        valid=not notes,
+        note="; ".join(notes),
     )
 
 
@@ -254,8 +253,8 @@ def commutator_limit_scan(
     records = []
     for h in hbar_grid:
         r = residual_fn(H, g, h, J)
-        w = window if window is not None else max(32, 4 * max(r.support_radius(), 1))
-        records.append((h, op_norm_estimate(r, PlanckParam(h), J, window=w, tol=tol)))
+        est = op_norm_estimate(r, PlanckParam(h), J, window=window, tol=tol)
+        records.append((h, est))
     pairs = [(abs(h), est.op_lower) for h, est in records]
     degenerate = all(e <= 0.0 for _, e in pairs)
     fit = None

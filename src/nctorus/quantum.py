@@ -19,9 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cstar import op_norm_estimate
+from .cstar import default_window, op_norm_estimate
 from .deform import PlanckParam, _as_hbar, commutator, deformed_mul
 from .errors import RealityError, SeriesDivergenceError
+from .flow import step_count
 from .lattice import FourierElement
 
 
@@ -179,10 +180,10 @@ def isometry_defect(f, qh, t, J, steps=None, trunc_radius=32, window=None, tol=1
     measures estimator error, not dynamics.
     """
     if steps is None:
-        steps = max(1, round(abs(t) / 1e-3))
+        steps = step_count(t, 1e-3)
     evolved = heisenberg_evolve(f, qh, t, J, steps, trunc_radius=trunc_radius)
     if window is None:
-        window = max(32, 4 * max(f.support_radius(), evolved.element.support_radius()))
+        window = max(default_window(f), default_window(evolved.element))
     a = op_norm_estimate(evolved.element, qh.hbar, J, window=window, tol=tol)
     b = op_norm_estimate(f, qh.hbar, J, window=window, tol=tol)
     return abs(a.op_lower - b.op_lower)

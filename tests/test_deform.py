@@ -203,8 +203,14 @@ class TestScaledResidual:
         with pytest.raises(ZeroDivisionError):
             scaled_commutator_residual(e((1, 0)), e((0, 1)), 0.0, J)
 
-    def test_antisymmetrized_order_two(self, J):
-        H, g = e((1, 0)), e((0, 1))
+    @pytest.mark.parametrize(
+        "H, g",
+        [(e((1, 0)), e((0, 1))), (e((1, 1)), e((-1, 1))), (e((2, 0)), e((1, -1)))],
+        ids=["pairing=1", "pairing=2", "pairing=-2"],
+    )
+    def test_antisymmetrized_order_two(self, J, H, g):
+        # the quantum weight (2 pi / hbar) sin(2 pi hbar p.Jq) and the
+        # classical one 4 pi^2 p.Jq differ at O(hbar^2) for every pairing
         pairs = [
             (h, scaled_commutator_residual(H, g, h, J).l1())
             for h in (0.1, 0.05, 0.025, 0.0125)

@@ -17,6 +17,7 @@ from nctorus import (
     torus_distance,
 )
 from nctorus.errors import RealityError, SpectralResolutionError, UnderResolvedGridError
+from nctorus.flow import step_count
 
 from conftest import random_element
 
@@ -142,6 +143,14 @@ class TestFlowPoints:
         lines = text.strip().split("\n")
         assert lines[0].startswith("index,x0_0,x0_1,x_0,x_1,jac_")
         assert len(lines) == 2
+
+
+@pytest.mark.parametrize(
+    "t, step, expected",
+    [(0.25, 1e-3, 250), (1.1, 0.1, 11), (0.0014, 1e-3, 2), (0.0, 1e-3, 1)],
+)
+def test_step_count(t, step, expected):
+    assert step_count(t, step) == expected
 
 
 class TestPullback:

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from nctorus import FourierElement, SymplecticStructure
+import nctorus.harness as harness
+from nctorus import FourierElement, SymplecticStructure, op_norm_estimate
 from nctorus.cli import main
 from nctorus.errors import ConfigError
 from nctorus.harness import (
@@ -104,6 +105,27 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_file(str(path))
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"hbar_grid": "abc"},
+            {"J": [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]},
+            {"t_grid": [float("nan")]},
+            {"ode_step": float("nan")},
+            {"ratio_band": [0.35]},
+            {"trunc_radius": 8.0},
+            {"H": []},
+        ],
+        ids=["str-grid", "J-3x3", "nan-t", "nan-step", "short-band", "float-radius", "empty-H"],
+    )
+    def test_rejects_bad_input(self, tmp_path, overrides):
+        data = {"H": SHEAR, "f": OBS, "J": J_STD, "output_dir": str(tmp_path), **overrides}
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(data)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        assert main(["scan", str(path)]) == 2
+
     def test_output_dir_env_override(self, tmp_path, monkeypatch):
         cfg = small_config(output_dir="elsewhere")
         monkeypatch.setenv("NCTORUS_OUTPUT_DIR", str(tmp_path))
@@ -123,6 +145,18 @@ class TestEgorovError:
         rec = egorov_error(cfg.hamiltonian, cfg.hamiltonian, 0.1, 0.05, J, cfg)
         assert rec.err.op_lower < 1e-8
         assert rec.valid
+
+    def test_unconverged_norm_is_invalid(self, J, monkeypatch):
+        def capped(*args, **kwargs):
+            return op_norm_estimate(*args, max_iter=2, **kwargs)
+
+        monkeypatch.setattr(harness, "op_norm_estimate", capped)
+        cfg = small_config()
+        rec = egorov_error(cfg.observable, cfg.hamiltonian, 0.1, 0.05, J, cfg)
+        assert rec.err.iterations == 2
+        assert rec.err.residual > cfg.norm_tol
+        assert not rec.valid
+        assert rec.note == "norm estimate unconverged"
 
     def test_evolution_radius_growth(self):
         assert evolution_radius(8, 0.0, 4 * np.pi) == 8
