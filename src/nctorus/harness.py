@@ -37,6 +37,16 @@ from .quantum import QuantumHamiltonian, heisenberg_evolve
 OUTPUT_DIR_ENV = "NCTORUS_OUTPUT_DIR"
 
 
+def _is_finite_real(x):
+    """A finite real number; booleans and ints too large for a float are not."""
+    if not isinstance(x, numbers.Real) or isinstance(x, bool):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Full description of a convergence scan.
@@ -67,12 +77,14 @@ class ExperimentConfig:
         for name in ("hbar_grid", "t_grid", "ratio_band"):
             grid = getattr(self, name)
             if not isinstance(grid, (list, tuple)) or not grid or not all(
-                isinstance(x, numbers.Real) and math.isfinite(x) for x in grid
+                _is_finite_real(x) for x in grid
             ):
                 raise ConfigError(f"{name} must be a nonempty list of finite numbers")
         for h in self.hbar_grid:
             if h == 0.0 or not -1.0 <= h <= 1.0:
                 raise ConfigError(f"hbar {h} must be nonzero and within [-1, 1]")
+        if any(t < 0.0 for t in self.t_grid):
+            raise ConfigError("t_grid entries must be >= 0")
         if len(self.ratio_band) != 2 or self.ratio_band[0] > self.ratio_band[1]:
             raise ConfigError("ratio_band must be [lo, hi] with lo <= hi")
         if not self.hamiltonian.dim == self.observable.dim == self.J.dim:
@@ -81,11 +93,10 @@ class ExperimentConfig:
             raise ConfigError("Hamiltonian has no modes")
         if not self.hamiltonian.is_real():
             raise ConfigError("Hamiltonian fails the reality test")
-        step = self.ode_step
-        if not isinstance(step, numbers.Real) or not 0 < step < math.inf:
+        if not _is_finite_real(self.ode_step) or self.ode_step <= 0:
             raise ConfigError("ode_step must be a finite positive number")
         for radius in (self.trunc_radius, self.norm_window):
-            if not isinstance(radius, numbers.Integral) or radius < 1:
+            if not isinstance(radius, numbers.Integral) or isinstance(radius, bool) or radius < 1:
                 raise ConfigError("trunc_radius and norm_window must be integers >= 1")
 
     @classmethod
@@ -94,7 +105,7 @@ class ExperimentConfig:
             H = FourierElement.from_literal(data["H"])
             f = FourierElement.from_literal(data["f"])
             J = SymplecticStructure(data["J"])
-        except (KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError, OverflowError) as exc:
             raise ConfigError(f"bad config: {exc}") from exc
         keys = {fld.name for fld in fields(cls)} - {"hamiltonian", "observable", "J"}
         kwargs = {
@@ -156,16 +167,19 @@ def egorov_error(f, H, hbar, t, J, config, _pullback_cache=None):
 
     notes = []
     if _pullback_cache is not None and t in _pullback_cache:
-        C = _pullback_cache[t]
+        C, aliased = _pullback_cache[t]
     else:
         grid = 2 * n_ev + 4
+        aliased = False
         try:
             C = pullback(f, phi, t, grid, n_ev, steps=steps, alias_tol=config.alias_tol)
         except SpectralResolutionError:
             C = pullback(f, phi, t, grid, n_ev, steps=steps)
-            notes.append("alias tolerance exceeded")
+            aliased = True
         if _pullback_cache is not None:
-            _pullback_cache[t] = C
+            _pullback_cache[t] = (C, aliased)
+    if aliased:
+        notes.append("alias tolerance exceeded")
 
     diff = Q.element - C.element
     # restrict to what the norm window can represent; the restriction is a

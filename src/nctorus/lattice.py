@@ -36,18 +36,31 @@ TWO_PI = 2.0 * np.pi
 
 
 def _coalesce(dim, modes, coeffs, prune_tol=PRUNE_TOL):
-    """Sum duplicate modes, prune tiny coefficients, sort lexicographically."""
+    """Sum duplicate modes, prune tiny coefficients, sort lexicographically.
+
+    Duplicates are summed in input order, so the result does not depend
+    on how the sort breaks ties.
+    """
     modes = np.asarray(modes, dtype=np.int64).reshape(-1, dim)
     coeffs = np.asarray(coeffs, dtype=np.complex128).reshape(-1)
-    if modes.shape[0] != coeffs.shape[0]:
+    n = modes.shape[0]
+    if n != coeffs.shape[0]:
         raise ValueError("modes and coeffs length mismatch")
-    if modes.shape[0] == 0:
+    if n == 0:
         return modes, coeffs
-    uniq, inverse = np.unique(modes, axis=0, return_inverse=True)
-    summed = np.zeros(uniq.shape[0], dtype=np.complex128)
-    np.add.at(summed, inverse.reshape(-1), coeffs)
+    order = np.lexsort(modes.T[::-1])  # stable; first coordinate is the primary key
+    ordered = modes[order]
+    starts = np.empty(n, dtype=bool)
+    starts[0] = True
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=starts[1:])
+    inverse = np.empty(n, dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    n_uniq = int(inverse[order[-1]]) + 1
+    summed = np.empty(n_uniq, dtype=np.complex128)
+    summed.real = np.bincount(inverse, weights=coeffs.real, minlength=n_uniq)
+    summed.imag = np.bincount(inverse, weights=coeffs.imag, minlength=n_uniq)
     keep = np.abs(summed) > prune_tol
-    return uniq[keep], summed[keep]
+    return ordered[starts][keep], summed[keep]
 
 
 class FourierElement:

@@ -32,6 +32,8 @@ from nctorus.harness import ExperimentConfig, scan
 from conftest import random_element
 from test_flow import bessel_series
 
+pytestmark = pytest.mark.acceptance
+
 e = FourierElement.character
 unit = FourierElement.unit
 

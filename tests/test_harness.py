@@ -1,7 +1,11 @@
 import json
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nctorus.harness as harness
 from nctorus import FourierElement, SymplecticStructure, op_norm_estimate
@@ -115,8 +119,12 @@ class TestConfigValidation:
             {"ratio_band": [0.35]},
             {"trunc_radius": 8.0},
             {"H": []},
+            {"t_grid": [0.25, -0.5]},
         ],
-        ids=["str-grid", "J-3x3", "nan-t", "nan-step", "short-band", "float-radius", "empty-H"],
+        ids=[
+            "str-grid", "J-3x3", "nan-t", "nan-step", "short-band", "float-radius", "empty-H",
+            "negative-t",
+        ],
     )
     def test_rejects_bad_input(self, tmp_path, overrides):
         data = {"H": SHEAR, "f": OBS, "J": J_STD, "output_dir": str(tmp_path), **overrides}
@@ -125,6 +133,37 @@ class TestConfigValidation:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(data))
         assert main(["scan", str(path)]) == 2
+
+    @given(
+        key=st.sampled_from(["hbar_grid", "t_grid", "ratio_band", "trunc_radius", "norm_window"]),
+        value=st.recursive(
+            st.none()
+            | st.booleans()
+            | st.integers(min_value=-(10**400), max_value=10**400)
+            | st.floats()
+            | st.text(max_size=4),
+            lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+            max_leaves=6,
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_fuzzed_fields_fail_fast(self, key, value):
+        """Any JSON value in a grid, band or radius is accepted well-formed or raises ConfigError."""
+        try:
+            cfg = ExperimentConfig.from_dict({"H": SHEAR, "f": OBS, "J": J_STD, key: value})
+        except ConfigError:
+            return
+        for grid in (cfg.hbar_grid, cfg.t_grid, cfg.ratio_band):
+            assert grid and all(
+                isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+                for x in grid
+            )
+        assert all(h != 0 and -1 <= h <= 1 for h in cfg.hbar_grid)
+        assert all(t >= 0 for t in cfg.t_grid)
+        lo, hi = cfg.ratio_band
+        assert lo <= hi
+        for radius in (cfg.trunc_radius, cfg.norm_window):
+            assert isinstance(radius, int) and not isinstance(radius, bool) and radius >= 1
 
     def test_output_dir_env_override(self, tmp_path, monkeypatch):
         cfg = small_config(output_dir="elsewhere")
@@ -157,6 +196,16 @@ class TestEgorovError:
         assert rec.err.residual > cfg.norm_tol
         assert not rec.valid
         assert rec.note == "norm estimate unconverged"
+
+    def test_alias_note_on_every_hbar(self, J):
+        # trunc_radius 2 leaves the pullback grid too coarse at t = 0.05; the
+        # pullback is computed once for the first hbar and reused by the rest
+        cfg = small_config(trunc_radius=2, alias_tol=1e-9, max_discarded_mass=1.0)
+        result = scan(cfg, write=False)
+        assert len(result.records) == 3
+        for rec in result.records:
+            assert not rec.valid
+            assert "alias tolerance exceeded" in rec.note
 
     def test_evolution_radius_growth(self):
         assert evolution_radius(8, 0.0, 4 * np.pi) == 8

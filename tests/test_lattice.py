@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nctorus import (
     FourierElement,
@@ -16,7 +17,7 @@ from nctorus.errors import (
     TruncationOverflowError,
     UnderResolvedGridError,
 )
-from nctorus.lattice import parseval_mean_square
+from nctorus.lattice import PRUNE_TOL, _coalesce, parseval_mean_square
 
 from conftest import elements
 
@@ -174,3 +175,48 @@ class TestLiterals:
         g, dropped = f.truncate(2)
         assert g == e((1, 0))
         assert dropped == pytest.approx(0.5)
+
+
+def unique_rows_coalesce(dim, modes, coeffs):
+    """Reference for `_coalesce`: sort rows with np.unique(axis=0), sum with np.add.at."""
+    modes = np.asarray(modes, dtype=np.int64).reshape(-1, dim)
+    coeffs = np.asarray(coeffs, dtype=np.complex128).reshape(-1)
+    if modes.shape[0] == 0:
+        return modes, coeffs
+    uniq, inverse = np.unique(modes, axis=0, return_inverse=True)
+    summed = np.zeros(uniq.shape[0], dtype=np.complex128)
+    np.add.at(summed, inverse.reshape(-1), coeffs)
+    keep = np.abs(summed) > PRUNE_TOL
+    return uniq[keep], summed[keep]
+
+
+@st.composite
+def coalesce_inputs(draw):
+    """Rows with many duplicates, some cancelling to below PRUNE_TOL, maybe none."""
+    dim = draw(st.sampled_from([1, 2, 3]))
+    n = draw(st.integers(0, 40))
+    modes = [draw(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim)) for _ in range(n)]
+    coeffs = [
+        complex(draw(st.floats(-3, 3)), draw(st.floats(-3, 3))) for _ in range(n)
+    ]
+    for i in draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=n // 2 if n else 0)):
+        tiny = draw(st.floats(-2 * PRUNE_TOL, 2 * PRUNE_TOL))
+        modes.append(modes[i])
+        coeffs.append(-coeffs[i] + tiny)
+    return dim, np.array(modes, dtype=np.int64).reshape(-1, dim), np.array(coeffs, dtype=complex)
+
+
+class TestCoalesce:
+    @given(coalesce_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_bit_identical_to_unique_rows(self, case):
+        dim, modes, coeffs = case
+        got_modes, got_coeffs = _coalesce(dim, modes, coeffs)
+        want_modes, want_coeffs = unique_rows_coalesce(dim, modes, coeffs)
+        assert got_modes.shape == want_modes.shape
+        assert np.array_equal(got_modes, want_modes)
+        assert got_coeffs.tobytes() == want_coeffs.tobytes()
+
+    def test_empty_input(self):
+        modes, coeffs = _coalesce(3, np.empty((0, 3)), np.empty(0))
+        assert modes.shape == (0, 3) and coeffs.shape == (0,)

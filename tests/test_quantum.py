@@ -5,6 +5,8 @@ from nctorus import (
     FourierElement,
     PlanckParam,
     QuantumHamiltonian,
+    SymplecticStructure,
+    commutator,
     conjugation_evolve,
     deformed_mul,
     exp_deformed,
@@ -12,10 +14,56 @@ from nctorus import (
     isometry_defect,
     unitary_propagator,
 )
-from nctorus.errors import RealityError
+from nctorus.errors import RealityError, TruncationOverflowError
+from nctorus.quantum import EvolutionResult, _heisenberg_generator, _reachable_modes
 
 e = FourierElement.character
 unit = FourierElement.unit
+
+
+def reference_heisenberg_evolve(f, qh, t, J, steps, trunc_radius=32):
+    """RK4 on sparse elements: one commutator per stage, truncation per step.
+
+    The oracle for `heisenberg_evolve`: the same RK4 and truncation rule,
+    built from `commutator` and element arithmetic instead of a matrix.
+    """
+    h = qh.hbar.hbar
+    H = qh.base
+    scale = np.pi / (1j * h)
+    cap = trunc_radius + 8 * max(H.support_radius(), 1)
+
+    def rhs(F):
+        return scale * commutator(H, F, h, J, cap=cap)
+
+    dt = t / steps
+    F = f
+    discarded = 0.0
+    for _ in range(steps):
+        k1 = rhs(F)
+        k2 = rhs(F + (0.5 * dt) * k1)
+        k3 = rhs(F + (0.5 * dt) * k2)
+        k4 = rhs(F + dt * k3)
+        F = F + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        F, dropped = F.truncate(trunc_radius)
+        discarded += dropped
+    return EvolutionResult(element=F, discarded_mass=discarded, steps=steps)
+
+
+def generic_hamiltonian():
+    """Seven modes: the shear, a radius-1 perturbation and a constant."""
+    return (
+        e((1, 0)) + e((-1, 0))
+        + 0.2 * (e((0, 1)) + e((0, -1)))
+        + 0.1 * (e((1, 1)) + e((-1, -1)))
+        + 0.3 * unit()
+    )
+
+
+def random_real_element(rng, dim, radius, n_terms):
+    modes = rng.integers(-radius, radius + 1, size=(n_terms, dim))
+    coeffs = rng.standard_normal(n_terms) + 1j * rng.standard_normal(n_terms)
+    f = FourierElement(dim, zip(map(tuple, modes.tolist()), coeffs))
+    return f + f.star()
 
 
 class TestQuantumHamiltonian:
@@ -129,6 +177,70 @@ class TestHeisenbergEvolve:
         b = heisenberg_evolve(g, qh, 0.1, J, steps=100, trunc_radius=24).element
         ab = heisenberg_evolve(f + 2.0 * g, qh, 0.1, J, steps=100, trunc_radius=24).element
         assert (ab - (a + 2.0 * b)).l1() < 1e-10
+
+
+class TestGeneratorEngine:
+    @pytest.mark.parametrize(
+        "H, hbar, t, steps, radius",
+        [
+            (e((1, 0)) + e((-1, 0)), 0.1, 0.2, 100, 24),
+            (generic_hamiltonian(), 0.1, 0.05, 40, 12),
+            (generic_hamiltonian(), 0.2, 0.1, 40, 3),
+        ],
+        ids=["shear", "generic", "small-radius"],
+    )
+    def test_matches_sparse_reference(self, J, H, hbar, t, steps, radius):
+        qh = QuantumHamiltonian(H, hbar)
+        f = e((0, 1)) + 0.5j * e((1, -1))
+        new = heisenberg_evolve(f, qh, t, J, steps, trunc_radius=radius)
+        ref = reference_heisenberg_evolve(f, qh, t, J, steps, trunc_radius=radius)
+        assert (new.element - ref.element).l1() <= 1e-10
+        assert new.discarded_mass == pytest.approx(ref.discarded_mass, rel=1e-9, abs=1e-10)
+        assert new.steps == ref.steps == steps
+        if radius == 3:
+            assert ref.discarded_mass > 0.1  # the truncation drops real mass
+
+    @pytest.mark.parametrize("dim, hbar", [(2, 0.13), (4, 0.07)], ids=["d=2", "d=4"])
+    def test_generator_is_scaled_commutator(self, dim, hbar):
+        rng = np.random.default_rng(dim)
+        J = SymplecticStructure.standard(dim)
+        H = random_real_element(rng, dim, radius=1, n_terms=4)
+        F = random_real_element(rng, dim, radius=2, n_terms=6) + 0.7j * e((0,) * dim)
+        # every product mode of F and H lies within radius 3
+        modes = _reachable_modes(F.modes, H.modes, 3)
+        L = _heisenberg_generator(H, hbar, J, modes)
+        row = {tuple(m): i for i, m in enumerate(modes.tolist())}
+        v = np.zeros(len(row), dtype=complex)
+        v[[row[tuple(m)] for m in F.modes.tolist()]] = F.coeffs
+        expected = (np.pi / (1j * hbar)) * commutator(H, F, hbar, J, cap=8)
+        dense = np.zeros(len(row), dtype=complex)
+        dense[[row[tuple(m)] for m in expected.modes.tolist()]] = expected.coeffs
+        assert np.abs(L @ v - dense).sum() <= 1e-12 * max(1.0, np.abs(dense).sum())
+
+    def test_reachable_set_is_not_a_box(self):
+        # the shear only moves along the first axis
+        modes = _reachable_modes(np.array([[0, 1]]), np.array([[1, 0], [-1, 0]]), 5)
+        assert modes.tolist() == [[k, 1] for k in range(-5, 6)]
+
+    def test_zero_observable(self, J):
+        qh = QuantumHamiltonian(generic_hamiltonian(), 0.1)
+        res = heisenberg_evolve(FourierElement.zero(2), qh, 0.2, J, steps=10)
+        assert res.element.n_modes == 0
+        assert res.discarded_mass == 0.0
+
+    def test_unit_observable(self, J):
+        qh = QuantumHamiltonian(generic_hamiltonian(), 0.1)
+        res = heisenberg_evolve(unit(), qh, 0.2, J, steps=10, trunc_radius=4)
+        assert res.element == unit()
+        assert res.discarded_mass == 0.0
+
+    def test_overflow_contract(self, J, shear_hamiltonian):
+        qh = QuantumHamiltonian(shear_hamiltonian, 0.1)
+        # the first step spreads f by 4 rH; the cap is trunc_radius + 8 rH = 16
+        for evolve in (heisenberg_evolve, reference_heisenberg_evolve):
+            evolve(e((12, 1)), qh, 0.01, J, steps=1, trunc_radius=8)
+            with pytest.raises(TruncationOverflowError):
+                evolve(e((13, 1)), qh, 0.01, J, steps=1, trunc_radius=8)
 
 
 class TestAutomorphismProperties:
