@@ -1,9 +1,10 @@
 """Quantum evolution converging to the classical flow as hbar -> 0.
 
 Evolves the observable e(0,1) under the shear Hamiltonian two ways --
-the Heisenberg ODE in the deformed algebra, and the classical pullback
-along the Hamiltonian flow -- then certifies the norm of the difference
-with the sandwich estimator and fits the decay order in hbar.
+the Heisenberg ODE in the deformed algebra, and the classical transport
+f o beta_t as exp(t L_0) f, L_0 F = {H, F} -- then certifies the norm
+of the difference with the sandwich estimator and fits the decay order
+in hbar.
 
 The time grid is matched to the truncation radius so that the
 observable's ballistic spread stays well inside the mode window and
@@ -12,7 +13,7 @@ generator weight (2 pi / hbar) sin(2 pi hbar p.Jq) and the classical
 one 4 pi^2 p.Jq differ at O(hbar^2) for every mode pair, whatever its
 pairing p.Jq.
 
-Run:  python3 demos/03_semiclassical_limit.py   (about a minute)
+Run:  python3 demos/03_semiclassical_limit.py   (a few seconds)
 """
 
 import numpy as np

@@ -8,7 +8,10 @@ cocycle-twisted convolution:
 so products of trigonometric polynomials are computed exactly as sparse
 double loops over supports, never by discretizing the integral.  The
 Poisson bracket and the scaled-commutator residual that drives the
-classical-limit analysis live here as well.
+classical-limit analysis live here as well, and so does the one
+generator that both evolutions integrate: F -> (pi/(i hbar)) [H, F]_h
+as a sparse matrix on a finite mode set, whose hbar = 0 limit is the
+Liouville operator F -> {H, F}.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import DimensionMismatchError
 from .lattice import (
@@ -164,3 +168,101 @@ def one_sided_residual(F, g, hbar, J, cap=DEFAULT_MODE_CAP):
         raise ZeroDivisionError("one-sided residual needs hbar != 0")
     diff = deformed_mul(F, g, h, J, cap) - pointwise_mul(F, g, cap=cap)
     return (2.0 * np.pi / (1j * h)) * diff - poisson_bracket(F, g, J, cap)
+
+
+@dataclass(frozen=True)
+class EvolutionResult:
+    """An evolved element plus truncation accounting.
+
+    `steps` is the solver's work count: RK4 steps, propagator substeps,
+    or terms of an exponential series.
+    """
+
+    element: FourierElement
+    discarded_mass: float
+    steps: int
+
+
+def _mode_keys(modes, radius):
+    """1-D keys of modes with |m|_inf <= radius, in lexicographic order.
+
+    A mode is offset by `radius` and ravelled over the (2 radius + 1)^d
+    box with its first coordinate most significant.
+    """
+    d = modes.shape[-1]
+    side = 2 * radius + 1
+    if side**d >= 2**63:
+        raise ValueError(f"mode box of radius {radius} in d={d} overflows 64-bit keys")
+    return (modes + radius) @ (side ** np.arange(d - 1, -1, -1, dtype=np.int64))
+
+
+def _reachable_modes(start, shifts, radius):
+    """Modes reachable from `start` by adding rows of `shifts`, inside |m|_inf <= radius.
+
+    The shifts are closed under negation first, which makes reachability
+    symmetric: a breadth-first wave then meets old modes only in itself
+    and in the wave before it.  Waves run on `_mode_keys`; the modes are
+    returned as int64 rows in lexicographic order.
+    """
+    d = start.shape[1]
+    shifts = np.unique(np.concatenate([shifts, -shifts]), axis=0)
+    front_keys, first = np.unique(_mode_keys(start, radius), return_index=True)
+    front = start[first]
+    waves = [front_keys]
+    previous = front_keys[:0]
+    while front.shape[0]:
+        cand = (front[:, None, :] + shifts[None, :, :]).reshape(-1, d)
+        cand = cand[np.abs(cand).max(axis=1) <= radius]
+        cand_keys, first = np.unique(_mode_keys(cand, radius), return_index=True)
+        new = ~(np.isin(cand_keys, front_keys) | np.isin(cand_keys, previous))
+        previous, front_keys = front_keys, cand_keys[new]
+        front = cand[first[new]]
+        waves.append(front_keys)
+    keys = np.sort(np.concatenate(waves))
+    return np.stack(np.unravel_index(keys, (2 * radius + 1,) * d), axis=1) - radius
+
+
+def _evolution_generator(H, hbar, J, modes):
+    """CSR matrix of F -> (pi/(i hbar)) [H, F]_h on coefficient vectors over `modes`.
+
+    `modes` must be nonempty and sorted lexicographically.  The column
+    of mode r holds c_p w(p, r) in the row of r + p for each mode p of H,
+    with w(p, r) = -(2 pi/hbar) sin(2 pi hbar p.Jr), or its hbar = 0
+    limit w_0(p, r) = -4 pi^2 p.Jr, which makes the matrix the Liouville
+    operator F -> {H, F}; targets outside `modes` and entries with w = 0
+    are left out.  For real H the matrix is anti-Hermitian.
+    """
+    n = modes.shape[0]
+    # a key box wide enough for every target, so keys never wrap
+    radius = int(np.abs(modes).max()) + H.support_radius()
+    mode_keys = _mode_keys(modes, radius)
+    pairing = (H.modes @ J.J) @ modes.T  # (nH, n) of p . (J r)
+    if hbar == 0.0:
+        scale, shape = -4.0 * np.pi**2, pairing
+    else:
+        scale, shape = -2.0 * np.pi / hbar, np.sin(2.0 * np.pi * hbar * pairing)
+    target_keys = _mode_keys(modes[None, :, :] + H.modes[:, None, :], radius)  # (nH, n)
+    rows = np.searchsorted(mode_keys, target_keys).clip(max=n - 1)
+    keep = (mode_keys[rows] == target_keys) & (shape != 0.0)
+    data = (H.coeffs[:, None] * scale * shape)[keep]
+    cols = np.broadcast_to(np.arange(n), keep.shape)[keep]
+    return sp.csr_array((data, (rows[keep], cols)), shape=(n, n), dtype=np.complex128)
+
+
+def _evolution_system(f, H, hbar, J, trunc_radius):
+    """The generator of the evolution of nonzero f, set up for a solver.
+
+    Returns `(modes, L, v, outside)`: the modes reachable from supp f by
+    adding modes of H within radius max(trunc_radius, radius of f) +
+    4 rH (rH the support radius of H, at least 1), the generator
+    `_evolution_generator(H, hbar, J, modes)`, f's coefficient vector
+    over `modes`, and the indices of the modes with |r|_inf >
+    trunc_radius, whose mass the caller discards.
+    """
+    reach = max(trunc_radius, f.support_radius()) + 4 * max(H.support_radius(), 1)
+    modes = _reachable_modes(f.modes, H.modes, reach)
+    L = _evolution_generator(H, hbar, J, modes)
+    v = np.zeros(modes.shape[0], dtype=np.complex128)
+    v[np.searchsorted(_mode_keys(modes, reach), _mode_keys(f.modes, reach))] = f.coeffs
+    outside = np.flatnonzero(np.abs(modes).max(axis=1) > trunc_radius)
+    return modes, L, v, outside

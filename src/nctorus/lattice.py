@@ -29,7 +29,7 @@ PRUNE_TOL = 1e-14
 
 #: Default hard cap on the max-norm radius of stored modes.  Operations that
 #: could silently generate larger supports raise instead; deliberate
-#: truncation (pullback, Heisenberg evolution) reports discarded mass.
+#: truncation (classical and Heisenberg evolution, pullback) reports discarded mass.
 DEFAULT_MODE_CAP = 64
 
 TWO_PI = 2.0 * np.pi

@@ -18,12 +18,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .cstar import default_window, op_norm_estimate
 # `commutator` is not called here; it stays importable from this module
 # because the benchmark tracer (perfbench/tracing.py) wraps it by name
-from .deform import PlanckParam, _as_hbar, commutator, deformed_mul  # noqa: F401
+from .deform import (  # noqa: F401
+    EvolutionResult,
+    PlanckParam,
+    _as_hbar,
+    _evolution_system,
+    commutator,
+    deformed_mul,
+)
 from .errors import RealityError, SeriesDivergenceError, TruncationOverflowError
 from .flow import step_count
 from .lattice import FourierElement, _coalesce
@@ -49,15 +55,6 @@ class QuantumHamiltonian:
     def scaled(self):
         """(-pi / hbar) * base, the self-adjoint generator element."""
         return (-np.pi / self.hbar.hbar) * self.base
-
-
-@dataclass(frozen=True)
-class EvolutionResult:
-    """An evolved element plus truncation accounting."""
-
-    element: FourierElement
-    discarded_mass: float
-    steps: int
 
 
 def exp_deformed(f, hbar, J, tol=1e-12, trunc_radius=64, max_terms=None):
@@ -144,79 +141,19 @@ def conjugation_evolve(f, qh, t, J, tol=1e-12, trunc_radius=32):
     )
 
 
-def _mode_keys(modes, radius):
-    """1-D keys of modes with |m|_inf <= radius, in lexicographic order.
-
-    A mode is offset by `radius` and ravelled over the (2 radius + 1)^d
-    box with its first coordinate most significant.
-    """
-    d = modes.shape[-1]
-    side = 2 * radius + 1
-    if side**d >= 2**63:
-        raise ValueError(f"mode box of radius {radius} in d={d} overflows 64-bit keys")
-    return (modes + radius) @ (side ** np.arange(d - 1, -1, -1, dtype=np.int64))
-
-
-def _reachable_modes(start, shifts, radius):
-    """Modes reachable from `start` by adding rows of `shifts`, inside |m|_inf <= radius.
-
-    The shifts are closed under negation first, which makes reachability
-    symmetric: a breadth-first wave then meets old modes only in itself
-    and in the wave before it.  Waves run on `_mode_keys`; the modes are
-    returned as int64 rows in lexicographic order.
-    """
-    d = start.shape[1]
-    shifts = np.unique(np.concatenate([shifts, -shifts]), axis=0)
-    front_keys, first = np.unique(_mode_keys(start, radius), return_index=True)
-    front = start[first]
-    waves = [front_keys]
-    previous = front_keys[:0]
-    while front.shape[0]:
-        cand = (front[:, None, :] + shifts[None, :, :]).reshape(-1, d)
-        cand = cand[np.abs(cand).max(axis=1) <= radius]
-        cand_keys, first = np.unique(_mode_keys(cand, radius), return_index=True)
-        new = ~(np.isin(cand_keys, front_keys) | np.isin(cand_keys, previous))
-        previous, front_keys = front_keys, cand_keys[new]
-        front = cand[first[new]]
-        waves.append(front_keys)
-    keys = np.sort(np.concatenate(waves))
-    return np.stack(np.unravel_index(keys, (2 * radius + 1,) * d), axis=1) - radius
-
-
-def _heisenberg_generator(H, hbar, J, modes):
-    """CSR matrix of F -> (pi/(i hbar)) [H, F]_h on coefficient vectors over `modes`.
-
-    `modes` must be nonempty and sorted lexicographically.  The column
-    of mode r holds c_p w(p, r) in the row of r + p for each mode p of H,
-    with w(p, r) = -(2 pi/hbar) sin(2 pi hbar p.Jr); targets outside
-    `modes` and entries with w = 0 are left out.
-    """
-    n = modes.shape[0]
-    # a key box wide enough for every target, so keys never wrap
-    radius = int(np.abs(modes).max()) + H.support_radius()
-    mode_keys = _mode_keys(modes, radius)
-    pairing = (H.modes @ J.J) @ modes.T  # (nH, n) of p . (J r)
-    sines = np.sin(2.0 * np.pi * hbar * pairing)
-    target_keys = _mode_keys(modes[None, :, :] + H.modes[:, None, :], radius)  # (nH, n)
-    rows = np.searchsorted(mode_keys, target_keys).clip(max=n - 1)
-    keep = (mode_keys[rows] == target_keys) & (sines != 0.0)
-    data = (H.coeffs[:, None] * (-2.0 * np.pi / hbar) * sines)[keep]
-    cols = np.broadcast_to(np.arange(n), keep.shape)[keep]
-    return sp.csr_array((data, (rows[keep], cols)), shape=(n, n), dtype=np.complex128)
-
-
 def heisenberg_evolve(f, qh, t, J, steps, trunc_radius=32):
     """Integrate the Heisenberg ODE dF/dt = (pi/(i hbar)) [H, F]_h by RK4.
 
     The right-hand side is linear in F, so it is built once as a sparse
-    matrix on the modes reachable from supp f by adding modes of H
-    within radius max(trunc_radius, radius of f) + 4 rH, rH the support
-    radius of H (at least 1): one RK4 step spreads the observable by at
-    most 4 rH.  The fixed-step RK4 then runs on a dense coefficient
-    vector.  After every step the modes beyond `trunc_radius` are zeroed
-    and their l1 mass is accumulated, unpruned; callers decide whether
-    the total invalidates the run (observable support spreads
-    ballistically, so the radius should grow with |t|).
+    matrix (`deform._evolution_system`) on the modes reachable from
+    supp f by adding modes of H within radius max(trunc_radius, radius
+    of f) + 4 rH, rH the support radius of H (at least 1): one RK4 step
+    spreads the observable by at most 4 rH.  The fixed-step RK4 then
+    runs on a dense coefficient vector.  After every step the modes
+    beyond `trunc_radius` are zeroed and their l1 mass is accumulated,
+    unpruned; callers decide whether the total invalidates the run
+    (observable support spreads ballistically, so the radius should grow
+    with |t|).
 
     Raises `TruncationOverflowError` when f reaches beyond
     trunc_radius + 4 rH, whose first step would pass the mode cap
@@ -224,23 +161,17 @@ def heisenberg_evolve(f, qh, t, J, steps, trunc_radius=32):
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    h = qh.hbar.hbar
     H = qh.base
     rH = max(H.support_radius(), 1)
     cap = trunc_radius + 8 * rH
-    reach = max(trunc_radius, f.support_radius()) + 4 * rH
-    if reach > cap:
+    if f.support_radius() > trunc_radius + 4 * rH:
         raise TruncationOverflowError(
             f"observable support radius {f.support_radius()} exceeds "
             f"{trunc_radius + 4 * rH}: its first step passes cap {cap}"
         )
     if f.n_modes == 0:
         return EvolutionResult(element=f, discarded_mass=0.0, steps=steps)
-    modes = _reachable_modes(f.modes, H.modes, reach)
-    L = _heisenberg_generator(H, h, J, modes)
-    v = np.zeros(modes.shape[0], dtype=np.complex128)
-    v[np.searchsorted(_mode_keys(modes, reach), _mode_keys(f.modes, reach))] = f.coeffs
-    outside = np.flatnonzero(np.abs(modes).max(axis=1) > trunc_radius)
+    modes, L, v, outside = _evolution_system(f, H, qh.hbar.hbar, J, trunc_radius)
 
     dt = t / steps
     discarded = 0.0

@@ -16,10 +16,12 @@ from nctorus import (
     pullback,
     torus_distance,
 )
+from nctorus.deform import _evolution_generator, _reachable_modes
 from nctorus.errors import RealityError, SpectralResolutionError, UnderResolvedGridError
-from nctorus.flow import step_count
+from nctorus.flow import bessel_j, classical_evolve, step_count
 
 from conftest import random_element
+from test_quantum import generic_hamiltonian, random_real_element
 
 e = FourierElement.character
 unit = FourierElement.unit
@@ -212,6 +214,76 @@ class TestPullback:
         with pytest.raises(SpectralResolutionError) as info:
             pullback(e((0, 1)), Phi, 0.25, grid=64, trunc_radius=4, alias_tol=1e-6)
         assert info.value.discarded_mass > 1e-6
+
+
+class TestClassicalEngine:
+    """`classical_evolve` (exp(t L_0) f by a Chebyshev series) against its oracles."""
+
+    @pytest.mark.parametrize("dim", [2, 4], ids=["d=2", "d=4"])
+    def test_generator_columns_are_brackets(self, dim):
+        rng = np.random.default_rng(dim)
+        J = SymplecticStructure.standard(dim)
+        H = random_real_element(rng, dim, radius=1, n_terms=4)
+        modes = _reachable_modes(np.zeros((1, dim), dtype=np.int64), H.modes, 2)
+        L = _evolution_generator(H, 0.0, J, modes).toarray()
+        assert np.array_equal(L, -L.conj().T)  # anti-Hermitian entrywise
+        row = {m: i for i, m in enumerate(map(tuple, modes.tolist()))}
+        # columns whose targets r + p all lie inside the mode set
+        for r in map(tuple, modes[np.abs(modes).max(axis=1) <= 1].tolist()):
+            bracket = poisson_bracket(H, e(r), J)
+            expected = np.zeros(len(row), dtype=complex)
+            expected[[row[m] for m in map(tuple, bracket.modes.tolist())]] = bracket.coeffs
+            assert np.abs(L[:, row[r]] - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("t", [0.25, 0.5])
+    def test_matches_pullback_on_shear(self, J, shear_hamiltonian, t):
+        # RK4 is exact on the shear (x is constant along orbits), so one
+        # step gives the pullback up to its DFT truncation
+        f = e((0, 1)) + 0.5j * e((1, -1))
+        Phi = hamiltonian_vector_field(shear_hamiltonian, J)
+        ref = pullback(f, Phi, t, grid=148, trunc_radius=72, steps=1)
+        new = classical_evolve(f, shear_hamiltonian, t, J, trunc_radius=72)
+        assert ref.discarded_mass < 1e-12
+        assert (new.element - ref.element).l1() <= 1e-10
+        assert new.discarded_mass <= 1e-12
+
+    def test_matches_pullback_on_generic_hamiltonian(self, J):
+        H = generic_hamiltonian()
+        f = e((0, 1)) + 0.5j * e((1, -1))
+        ref = pullback(f, hamiltonian_vector_field(H, J), 0.01, grid=36, trunc_radius=16, steps=200)
+        new = classical_evolve(f, H, 0.01, J, trunc_radius=16)
+        assert ref.discarded_mass < 1e-12
+        assert (new.element - ref.element).l1() <= 1e-10
+
+    def test_bessel_coefficients(self, J, shear_hamiltonian):
+        # Jacobi-Anger: e_(0,1) o beta_t has coefficient J_n(-8 pi^2 t) at (n, 1)
+        t = 0.01
+        z = -8 * np.pi**2 * t
+        res = classical_evolve(e((0, 1)), shear_hamiltonian, t, J, trunc_radius=12)
+        for n in range(-8, 9):
+            assert abs(res.element.coefficient((n, 1)) - bessel_series(n, z)) <= 1e-12
+
+    def test_conserves_l2(self, J):
+        f = e((0, 1)) + 0.5j * e((1, -1))
+        res = classical_evolve(f, generic_hamiltonian(), 0.02, J, trunc_radius=20)
+        assert res.discarded_mass < 1e-10
+        assert abs(res.element.l2() - f.l2()) <= 1e-12
+
+    def test_deterministic(self, J):
+        f = e((0, 1)) + 0.5j * e((1, -1))
+        a = classical_evolve(f, generic_hamiltonian(), 0.05, J, trunc_radius=16)
+        b = classical_evolve(f, generic_hamiltonian(), 0.05, J, trunc_radius=16)
+        assert np.array_equal(a.element.modes, b.element.modes)
+        assert np.array_equal(a.element.coeffs, b.element.coeffs)
+        assert a.discarded_mass == b.discarded_mass and a.steps == b.steps
+
+    # scipy's own values miss J_0 + 2 sum J_2k = 1 by 8.5e-14 at z = 1000
+    @pytest.mark.parametrize("z, atol", [(0.5, 1e-15), (40, 1e-15), (106, 5e-15), (1000, 1e-13)])
+    def test_bessel_recurrence_matches_scipy(self, z, atol):
+        from scipy.special import jv
+
+        j = bessel_j(z)
+        assert np.abs(j - jv(np.arange(j.size), z)).max() <= atol
 
 
 class TestGronwall:

@@ -15,7 +15,8 @@ from nctorus import (
     unitary_propagator,
 )
 from nctorus.errors import RealityError, TruncationOverflowError
-from nctorus.quantum import EvolutionResult, _heisenberg_generator, _reachable_modes
+from nctorus.deform import _evolution_generator, _reachable_modes
+from nctorus.quantum import EvolutionResult
 
 e = FourierElement.character
 unit = FourierElement.unit
@@ -208,7 +209,7 @@ class TestGeneratorEngine:
         F = random_real_element(rng, dim, radius=2, n_terms=6) + 0.7j * e((0,) * dim)
         # every product mode of F and H lies within radius 3
         modes = _reachable_modes(F.modes, H.modes, 3)
-        L = _heisenberg_generator(H, hbar, J, modes)
+        L = _evolution_generator(H, hbar, J, modes)
         row = {tuple(m): i for i, m in enumerate(modes.tolist())}
         v = np.zeros(len(row), dtype=complex)
         v[[row[tuple(m)] for m in F.modes.tolist()]] = F.coeffs
