@@ -1,8 +1,9 @@
 """Quantum evolution converging to the classical flow as hbar -> 0.
 
 Evolves the observable e(0,1) under the shear Hamiltonian two ways --
-the Heisenberg ODE in the deformed algebra, and the classical transport
-f o beta_t as exp(t L_0) f, L_0 F = {H, F} -- then certifies the norm
+the Heisenberg flow exp(t L_hbar) f in the deformed algebra, and the
+classical transport f o beta_t as exp(t L_0) f, L_0 F = {H, F} -- with
+one Chebyshev series engine, then certifies the norm
 of the difference with the sandwich estimator and fits the decay order
 in hbar.
 

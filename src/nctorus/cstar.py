@@ -65,43 +65,40 @@ def default_window(f):
 def build_left_multiplication(f, hbar, J, window):
     """Sparse matrix of x -> f x_h x on modes q with |q|_inf <= window.
 
-    Basis vectors are indexed by lattice modes in the window; the entry
-    at (q, q - p) is c_p * cocycle(p, q - p).
+    Basis vectors are indexed by lattice modes in the window, in
+    lexicographic order; the entry at (q + p, q) is c_p * cocycle(p, q).
+    Both factors of an entry separate over the axes: the cocycle
+    e(-hbar p.Jq) is the product over a of e(-hbar (pJ)_a q_a), and
+    q + p lies in the window when |q_a + p_a| <= window on every axis.
+    So the entries are outer products of per-axis factors, one complex
+    exponential per mode, axis and coordinate.  The matrix is built in
+    CSC form: the rows q + p of column q ascend with p, because the
+    modes of f are sorted lexicographically.
     """
     if f.dim != J.dim:
         raise ValueError("element/structure dimension mismatch")
     h = _as_hbar(hbar)
     d = f.dim
+    n = f.n_modes
     side = 2 * window + 1
     dim_rep = side**d
-    axes = [np.arange(-window, window + 1)] * d
-    mesh = np.meshgrid(*axes, indexing="ij")
-    lattice = np.stack([m.reshape(-1) for m in mesh], axis=-1)  # (dim_rep, d)
-
-    def flat_index(modes):
-        idx = np.zeros(modes.shape[0], dtype=np.int64)
-        for a in range(d):
-            idx = idx * side + (modes[:, a] + window)
-        return idx
-
-    rows, cols, data = [], [], []
-    for p, c in zip(f.modes, f.coeffs):
-        q_src = lattice  # candidate source modes q' = q - p
-        q_dst = q_src + p
-        ok = np.abs(q_dst).max(axis=1) <= window
-        src = q_src[ok]
-        dst = q_dst[ok]
-        pairing = (p @ J.J) @ src.T
-        phase = np.exp(-2j * np.pi * h * pairing)
-        rows.append(flat_index(dst))
-        cols.append(flat_index(src))
-        data.append(c * phase)
-    if rows:
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        data = np.concatenate(data)
-    return sp.csr_matrix(
-        (data, (rows, cols)), shape=(dim_rep, dim_rep), dtype=np.complex128
+    k = np.arange(-window, window + 1)
+    phase = np.exp((-2j * np.pi * h) * (f.modes @ J.J)[:, :, None] * k)  # (n, d, side)
+    inside = np.abs(f.modes[:, :, None] + k) <= window  # (n, d, side)
+    # (side,)*d + (n,) arrays over (q, p), q's axes ravelled first
+    data = f.coeffs
+    keep = np.ones(n, dtype=bool)
+    for a in range(d):
+        shape = (1,) * a + (side,) + (1,) * (d - 1 - a) + (n,)
+        data = data * phase[:, a, :].T.reshape(shape)
+        keep = keep & inside[:, a, :].T.reshape(shape)
+    keep = keep.reshape(dim_rep, n)
+    strides = side ** np.arange(d - 1, -1, -1, dtype=np.int64)
+    rows = (np.arange(dim_rep, dtype=np.int64)[:, None] + f.modes @ strides)[keep]
+    indptr = np.zeros(dim_rep + 1, dtype=np.int64)
+    np.cumsum(keep.sum(axis=1), out=indptr[1:])
+    return sp.csc_matrix(
+        (data.reshape(dim_rep, n)[keep], rows, indptr), shape=(dim_rep, dim_rep)
     )
 
 
@@ -140,7 +137,7 @@ def op_norm_estimate(f, hbar, J, window=None, tol=1e-8, max_iter=None):
     if max_iter is None:
         max_iter = 10 * window**2
     L = build_left_multiplication(f, hbar, J, window)
-    Lh = L.conjugate().T.tocsr()
+    Lt = L.T  # a view; L* w is conj(L^T conj(w))
     n = L.shape[0]
     steps = min(n, max_iter)
 
@@ -151,7 +148,7 @@ def op_norm_estimate(f, hbar, J, window=None, tol=1e-8, max_iter=None):
     alpha, beta = [], []
     mu, residual, b, check = 0.0, np.inf, 0.0, 1
     for m in range(1, steps + 1):
-        w = Lh @ (L @ q)
+        w = np.conj(Lt @ np.conj(L @ q))
         a = float(np.real(np.vdot(q, w)))
         w -= a * q + b * q_prev
         b = float(np.linalg.norm(w))

@@ -9,19 +9,22 @@ so products of trigonometric polynomials are computed exactly as sparse
 double loops over supports, never by discretizing the integral.  The
 Poisson bracket and the scaled-commutator residual that drives the
 classical-limit analysis live here as well, and so does the one
-generator that both evolutions integrate: F -> (pi/(i hbar)) [H, F]_h
-as a sparse matrix on a finite mode set, whose hbar = 0 limit is the
-Liouville operator F -> {H, F}.
+generator of both evolutions: F -> (pi/(i hbar)) [H, F]_h as a sparse
+matrix on a finite mode set, whose hbar = 0 limit is the Liouville
+operator F -> {H, F}.  `evolve` applies its exponential with a
+Chebyshev-Bessel series, for the quantum flow and the classical
+transport alike.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, RealityError
 from .lattice import (
     DEFAULT_MODE_CAP,
     FourierElement,
@@ -266,3 +269,83 @@ def _evolution_system(f, H, hbar, J, trunc_radius):
     v[np.searchsorted(_mode_keys(modes, reach), _mode_keys(f.modes, reach))] = f.coeffs
     outside = np.flatnonzero(np.abs(modes).max(axis=1) > trunc_radius)
     return modes, L, v, outside
+
+
+#: Bound on the l1 weight 2 sum_{k >= K} |J_k(t rho)| of the Chebyshev
+#: terms `evolve` leaves out; each term has l2 norm <= ||f||_2.
+CHEBYSHEV_TAIL = 1e-15
+
+
+def bessel_j(z):
+    """J_0(z), ..., J_M(z) for z > 0 by Miller's backward recurrence.
+
+    J_{k-1} = (2k/z) J_k - J_{k+1} runs down from J_{M+1} = 0, J_M = 1
+    with M = z + 20 z^(1/3) + 30, past the Airy turning point at k ~ z
+    far enough that the starting error is below roundoff; the result is
+    normalised by J_0 + 2 sum_k J_2k = 1.
+    """
+    m = int(z + 20.0 * np.cbrt(z) + 30.0)
+    j = np.zeros(m + 2)
+    j[m] = 1.0
+    for k in range(m, 0, -1):
+        j[k - 1] = (2.0 * k / z) * j[k] - j[k + 1]
+        if abs(j[k - 1]) > 1e250:  # only ratios matter before the normalisation
+            j[k - 1 :] *= 1e-250
+    return j[: m + 1] / (j[0] + 2.0 * j[2::2].sum())
+
+
+def _chebyshev_propagate(L, v, t):
+    """exp(t L) v for anti-Hermitian L, the number of series terms, and the tail weight.
+
+    With rho = ||L||_1, which bounds the spectrum of the normal L, the
+    Jacobi-Anger expansion (Tal-Ezer and Kosloff, J. Chem. Phys. 81,
+    1984) gives exp(t L) = J_0(z) + 2 sum_k J_k(z) psi_k(A), z = |t| rho,
+    A = sign(t) L / rho, psi_0 = 1, psi_1 = A, psi_{k+1} = 2 A psi_k +
+    psi_{k-1}; on the spectrum of A, psi_k(A) is i^k T_k of a Hermitian
+    matrix of norm <= 1, so the recurrence is stable.  The series stops
+    at the first K whose tail weight 2 sum_{k >= K} |J_k(z)| is below
+    `CHEBYSHEV_TAIL`; that weight bounds the l2 norm of the omitted
+    terms by weight * ||v||_2.
+    """
+    rho = float(abs(L).sum(axis=0).max(initial=0.0))
+    z = abs(t) * rho
+    if z == 0.0:
+        return v.copy(), 0, 0.0
+    coeffs = bessel_j(z)
+    tail = 2.0 * np.cumsum(np.abs(coeffs)[::-1])[::-1]
+    terms = max(int(np.argmax(tail <= CHEBYSHEV_TAIL)), 2)
+    A = L * (math.copysign(1.0, t) / rho)
+    prev, cur = v, A @ v
+    out = coeffs[0] * prev + (2.0 * coeffs[1]) * cur
+    for c in coeffs[2:terms]:
+        prev, cur = cur, 2.0 * (A @ cur) + prev
+        out += (2.0 * c) * cur
+    return out, terms, float(tail[terms])
+
+
+def evolve(f, H, hbar, t, J, trunc_radius=32):
+    """exp(t L_hbar) f: the quantum flow beta^h_t f, or at hbar = 0 the transport f o beta_t.
+
+    L_hbar F = (pi/(i hbar)) [H, F]_h, and L_0 F = {H, F}, is built as a
+    sparse matrix on the modes reachable from supp f by adding modes of
+    H within radius max(trunc_radius, radius of f) + 4 rH
+    (`_evolution_system`).  For real H it is anti-Hermitian, and its
+    exponential is applied by a Chebyshev-Bessel series truncated below
+    `CHEBYSHEV_TAIL`, with no step size and no randomness.
+
+    `discarded_mass` bounds, in l1 and hence in every C*-norm, what the
+    result leaves out of exp(t L_hbar) f on the mode set: the l1 mass at
+    time t on the modes with |r|_inf > trunc_radius, which is zeroed,
+    plus sqrt(n) * tail * ||f||_2 for the omitted series terms (n modes,
+    tail their l2 weight).  `steps` is the number of series terms.
+    """
+    if not H.is_real():
+        raise RealityError("Hamiltonian fails the reality test")
+    if f.n_modes == 0:
+        return EvolutionResult(element=f, discarded_mass=0.0, steps=0)
+    modes, L, v, outside = _evolution_system(f, H, _as_hbar(hbar), J, trunc_radius)
+    v, terms, tail = _chebyshev_propagate(L, v, t)
+    discarded = float(np.abs(v[outside]).sum()) + math.sqrt(v.size) * tail * f.l2()
+    v[outside] = 0.0
+    element = FourierElement._raw(f.dim, *_coalesce(f.dim, modes, v))
+    return EvolutionResult(element=element, discarded_mass=discarded, steps=terms)

@@ -3,12 +3,13 @@
 Vector fields are tuples of real-valued trigonometric polynomials.  The
 classical transport f -> f o beta_t solves dF/dt = {H, F}, so
 `classical_evolve` applies exp(t L_0) to the coefficients of f, L_0 the
-hbar = 0 limit of the quantum generator, by a Chebyshev-Bessel series
-that is exact to roundoff.  Independently of it, the flow is realized
-by fixed-step RK4 on T^d (coordinates wrapped mod 1), optionally
-co-integrating the variational equation for Jacobians, and the pullback
-is computed spectrally by flowing a uniform grid and inverting the DFT;
-both report their discarded coefficient mass.  Gronwall-type
+hbar = 0 limit of the quantum generator, by the Chebyshev-Bessel series
+of `deform.evolve`, which is exact to roundoff.  Independently of it,
+the flow is realized by fixed-step RK4 on T^d (coordinates wrapped
+mod 1), optionally co-integrating the variational equation for
+Jacobians, and the pullback is computed spectrally by flowing a uniform
+grid and inverting the DFT; both report their discarded coefficient
+mass.  Gronwall-type
 certificates bound the flow derivatives a priori.
 """
 
@@ -21,7 +22,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .deform import EvolutionResult, _evolution_system
+# the series engine lives next to the generator; its names stay importable here
+from .deform import (  # noqa: F401
+    CHEBYSHEV_TAIL,
+    _chebyshev_propagate,
+    bessel_j,
+    evolve,
+)
 from .errors import RealityError, SpectralResolutionError, UnderResolvedGridError
 from .lattice import (
     FourierElement,
@@ -268,79 +275,15 @@ def pullback(
     return PullbackResult(element=element, discarded_mass=discarded, grid=grid, steps=steps)
 
 
-#: Bound on the l1 weight 2 sum_{k >= K} |J_k(t rho)| of the Chebyshev
-#: terms `classical_evolve` leaves out; each term has l2 norm <= ||f||_2.
-CHEBYSHEV_TAIL = 1e-15
-
-
-def bessel_j(z):
-    """J_0(z), ..., J_M(z) for z > 0 by Miller's backward recurrence.
-
-    J_{k-1} = (2k/z) J_k - J_{k+1} runs down from J_{M+1} = 0, J_M = 1
-    with M = z + 20 z^(1/3) + 30, past the Airy turning point at k ~ z
-    far enough that the starting error is below roundoff; the result is
-    normalised by J_0 + 2 sum_k J_2k = 1.
-    """
-    m = int(z + 20.0 * np.cbrt(z) + 30.0)
-    j = np.zeros(m + 2)
-    j[m] = 1.0
-    for k in range(m, 0, -1):
-        j[k - 1] = (2.0 * k / z) * j[k] - j[k + 1]
-        if abs(j[k - 1]) > 1e250:  # only ratios matter before the normalisation
-            j[k - 1 :] *= 1e-250
-    return j[: m + 1] / (j[0] + 2.0 * j[2::2].sum())
-
-
-def _chebyshev_propagate(L, v, t):
-    """exp(t L) v for anti-Hermitian L, and the number of series terms.
-
-    With rho = ||L||_1, which bounds the spectrum of the normal L, the
-    Jacobi-Anger expansion (Tal-Ezer and Kosloff, J. Chem. Phys. 81,
-    1984) gives exp(t L) = J_0(z) + 2 sum_k J_k(z) psi_k(A), z = |t| rho,
-    A = sign(t) L / rho, psi_0 = 1, psi_1 = A, psi_{k+1} = 2 A psi_k +
-    psi_{k-1}; on the spectrum of A, psi_k(A) is i^k T_k of a Hermitian
-    matrix of norm <= 1, so the recurrence is stable.  The series stops
-    at the first K whose tail weight is below `CHEBYSHEV_TAIL`.
-    """
-    rho = float(abs(L).sum(axis=0).max(initial=0.0))
-    z = abs(t) * rho
-    if z == 0.0:
-        return v.copy(), 0
-    coeffs = bessel_j(z)
-    tail = 2.0 * np.cumsum(np.abs(coeffs)[::-1])[::-1]
-    terms = max(int(np.argmax(tail <= CHEBYSHEV_TAIL)), 2)
-    A = L * (math.copysign(1.0, t) / rho)
-    prev, cur = v, A @ v
-    out = coeffs[0] * prev + (2.0 * coeffs[1]) * cur
-    for c in coeffs[2:terms]:
-        prev, cur = cur, 2.0 * (A @ cur) + prev
-        out += (2.0 * c) * cur
-    return out, terms
-
-
 def classical_evolve(f, H, t, J, trunc_radius=32):
     """The classical transport beta_t f = f o beta_t as exp(t L_0) f.
 
-    L_0 F = {H, F} is the hbar = 0 limit of the Heisenberg generator,
-    built as a sparse matrix on the same mode set (`deform._evolution_system`):
-    the modes reachable from supp f by adding modes of H within radius
-    max(trunc_radius, radius of f) + 4 rH.  For real H it is
-    anti-Hermitian, and exp(t L_0) is applied by a Chebyshev-Bessel
-    series truncated below `CHEBYSHEV_TAIL`, with no step size and no
-    randomness.  The l1 mass at time t on the modes with |r|_inf >
-    trunc_radius is zeroed and reported as `discarded_mass`; `steps` is
-    the number of series terms.
+    This is `deform.evolve` at hbar = 0: L_0 F = {H, F} is the hbar = 0
+    limit of the Heisenberg generator, on the same mode set, applied by
+    the same Chebyshev-Bessel series; `discarded_mass` bounds the box
+    truncation and the series tail, and `steps` is the number of terms.
     """
-    if not H.is_real():
-        raise RealityError("Hamiltonian fails the reality test")
-    if f.n_modes == 0:
-        return EvolutionResult(element=f, discarded_mass=0.0, steps=0)
-    modes, L, v, outside = _evolution_system(f, H, 0.0, J, trunc_radius)
-    v, terms = _chebyshev_propagate(L, v, t)
-    discarded = float(np.abs(v[outside]).sum())
-    v[outside] = 0.0
-    element = FourierElement._raw(f.dim, *_coalesce(f.dim, modes, v))
-    return EvolutionResult(element=element, discarded_mass=discarded, steps=terms)
+    return evolve(f, H, 0.0, t, J, trunc_radius=trunc_radius)
 
 
 def _bell_partial(n, m, x):

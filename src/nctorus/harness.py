@@ -26,20 +26,17 @@ from .cstar import NormEstimate, op_norm_estimate
 from .deform import (
     PlanckParam,
     SymplecticStructure,
+    evolve,
     one_sided_residual,
     scaled_commutator_residual,
 )
 from .errors import ConfigError
-# `pullback` is not called here; it stays importable from this module
-# because the benchmark tracer (perfbench/tracing.py) wraps it by name
-from .flow import (  # noqa: F401
-    classical_evolve,
-    hamiltonian_vector_field,
-    pullback,
-    step_count,
-)
+# `pullback` and `heisenberg_evolve` are not called here; they stay
+# importable from this module because the benchmark tracer
+# (perfbench/tracing.py) wraps them by name
+from .flow import classical_evolve, hamiltonian_vector_field, pullback  # noqa: F401
 from .lattice import FourierElement
-from .quantum import QuantumHamiltonian, heisenberg_evolve
+from .quantum import heisenberg_evolve  # noqa: F401
 
 #: Environment variable overriding the configured output directory.
 OUTPUT_DIR_ENV = "NCTORUS_OUTPUT_DIR"
@@ -138,7 +135,13 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ErrorRecord:
-    """One (hbar, t) point of the convergence scan."""
+    """One (hbar, t) point of the convergence scan.
+
+    `quantum_s`, `classical_s` and `norm_s` are the seconds this record
+    spent in each stage (`classical_s` is ~0 when the classical side
+    came from the per-t cache); `quantum_terms` and `classical_terms`
+    are the series terms of each side.  None of them enters the CSV.
+    """
 
     hbar: float
     t: float
@@ -148,6 +151,11 @@ class ErrorRecord:
     wall_time: float
     valid: bool
     note: str = ""
+    quantum_s: float = 0.0
+    classical_s: float = 0.0
+    norm_s: float = 0.0
+    quantum_terms: int = 0
+    classical_terms: int = 0
 
 
 def evolution_radius(base_radius, t, phi_scale):
@@ -156,25 +164,25 @@ def evolution_radius(base_radius, t, phi_scale):
 
 
 def egorov_error(f, H, hbar, t, J, config, _classical_cache=None):
-    """Norm-certified error between quantum and classical evolution.
+    """Norm-estimated error between quantum and classical evolution.
 
-    Computes Q by the Heisenberg ODE and C = f o beta_t by
-    `classical_evolve` (exp(t L_0) f, L_0 the hbar = 0 generator) at a
-    widened evolution radius, restricts the difference to the norm
-    window, and returns the sandwich-certified estimate with truncation
-    metadata.  C depends on t only, so `_classical_cache` may carry it
-    from one hbar to the next.  Truncation beyond the configured
-    thresholds, or a norm residual above `norm_tol`, flags the record
-    invalid rather than dropping it.
+    Computes Q = exp(t L_hbar) f and C = f o beta_t = exp(t L_0) f with
+    the one series engine (`evolve`, and `classical_evolve` at hbar = 0)
+    at a widened evolution radius, restricts the difference to the norm
+    window, and returns its sandwich estimate with truncation metadata
+    and per-stage timings.  C depends on t only, so `_classical_cache`
+    may carry it from one hbar to the next.  Truncation beyond the
+    configured thresholds, or a norm residual above `norm_tol`, flags
+    the record invalid rather than dropping it.  `config.ode_step` is
+    not read: neither side takes time steps.
     """
     start = time.perf_counter()
     phi = hamiltonian_vector_field(H, J)
     n_ev = evolution_radius(config.trunc_radius, t, phi.max_component_l1())
-    steps = step_count(t, config.ode_step)
 
-    qh = QuantumHamiltonian(H, PlanckParam(hbar))
-    Q = heisenberg_evolve(f, qh, t, J, steps, trunc_radius=n_ev)
-
+    quantum_start = time.perf_counter()
+    Q = evolve(f, H, hbar, t, J, trunc_radius=n_ev)
+    classical_start = time.perf_counter()
     notes = []
     if _classical_cache is not None and t in _classical_cache:
         C = _classical_cache[t]
@@ -182,16 +190,20 @@ def egorov_error(f, H, hbar, t, J, config, _classical_cache=None):
         C = classical_evolve(f, H, t, J, trunc_radius=n_ev)
         if _classical_cache is not None:
             _classical_cache[t] = C
+    classical_end = time.perf_counter()
     if C.discarded_mass > config.alias_tol:
         notes.append("alias tolerance exceeded")
 
     diff = Q.element - C.element
-    # restrict to what the norm window can represent; the restriction is a
-    # certified lower bound on the norm of the full difference
+    # the norm of the difference's modes inside the window, not of the
+    # full difference: `window_dropped` is the l1 mass left outside, and
+    # truncating modes is no compression, so no bound on the full norm
     restricted, window_dropped = diff.truncate(config.norm_window - 1)
+    norm_start = time.perf_counter()
     est = op_norm_estimate(
         restricted, PlanckParam(hbar), J, window=config.norm_window, tol=config.norm_tol
     )
+    norm_end = time.perf_counter()
     if est.residual > config.norm_tol:
         notes.append("norm estimate unconverged")
     discarded = Q.discarded_mass + C.discarded_mass
@@ -206,6 +218,11 @@ def egorov_error(f, H, hbar, t, J, config, _classical_cache=None):
         wall_time=time.perf_counter() - start,
         valid=not notes,
         note="; ".join(notes),
+        quantum_s=classical_start - quantum_start,
+        classical_s=classical_end - classical_start,
+        norm_s=norm_end - norm_start,
+        quantum_terms=Q.steps,
+        classical_terms=C.steps,
     )
 
 
@@ -386,6 +403,14 @@ def scan(config, write=True):
         "n_records": len(records),
         "invalid_records": sum(1 for r in records if not r.valid),
         "total_wall_time": sum(r.wall_time for r in records),
+        # one classical solve per t; the other records reuse it
+        "stages": {
+            "quantum_s": sum(r.quantum_s for r in records),
+            "classical_s": sum(r.classical_s for r in records),
+            "norm_s": sum(r.norm_s for r in records),
+            "quantum_terms": sum(r.quantum_terms for r in records),
+            "classical_terms": sum({r.t: r.classical_terms for r in records}.values()),
+        },
     }
     csv_text = records_to_csv(records)
     if write:

@@ -2,14 +2,16 @@
 
 The quantum Hamiltonian is the rescaled element (-pi/hbar) H; its
 propagator is the deformed exponential exp_h(i t (-pi/hbar) H), and the
-quantum flow conjugates observables by it.  The primary evolution path
-integrates the equivalent Heisenberg ODE
+quantum flow conjugates observables by it.  Equivalently, observables
+solve the Heisenberg equation
 
     dF/dt = (pi / (i hbar)) [H, F]_h,
 
 whose generator stays O(1) as hbar -> 0 (it approximates the Poisson
-bracket with H), so small-hbar runs do not stiffen; the series-based
-conjugation is kept as an independent cross-check at moderate hbar.
+bracket with H), so small-hbar runs do not stiffen.  Its exact solution
+exp(t L_hbar) F is `deform.evolve`, which the scans use; here are the
+fixed-step RK4 solve of the same equation, `heisenberg_evolve`, and the
+series-based conjugation, an independent cross-check at moderate hbar.
 """
 
 from __future__ import annotations
@@ -144,12 +146,15 @@ def conjugation_evolve(f, qh, t, J, tol=1e-12, trunc_radius=32):
 def heisenberg_evolve(f, qh, t, J, steps, trunc_radius=32):
     """Integrate the Heisenberg ODE dF/dt = (pi/(i hbar)) [H, F]_h by RK4.
 
-    The right-hand side is linear in F, so it is built once as a sparse
-    matrix (`deform._evolution_system`) on the modes reachable from
-    supp f by adding modes of H within radius max(trunc_radius, radius
-    of f) + 4 rH, rH the support radius of H (at least 1): one RK4 step
-    spreads the observable by at most 4 rH.  The fixed-step RK4 then
-    runs on a dense coefficient vector.  After every step the modes
+    The fixed-step path: `deform.evolve` applies the exact exponential of
+    the same generator, and this solve converges to it at order 4 in
+    t / steps; its time-stepping error is not reported.  The right-hand
+    side is linear in F, so it is built once as a sparse matrix
+    (`deform._evolution_system`) on the modes reachable from supp f by
+    adding modes of H within radius max(trunc_radius, radius of f) +
+    4 rH, rH the support radius of H (at least 1): one RK4 step spreads
+    the observable by at most 4 rH.  The fixed-step RK4 then runs on a
+    dense coefficient vector.  After every step the modes
     beyond `trunc_radius` are zeroed and their l1 mass is accumulated,
     unpruned; callers decide whether the total invalidates the run
     (observable support spreads ballistically, so the radius should grow

@@ -1,18 +1,79 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from nctorus import (
     FourierElement,
+    SymplecticStructure,
     build_left_multiplication,
     deformed_mul,
     op_norm_estimate,
 )
 
-from conftest import elements, random_element
+from conftest import coefficients, elements, random_element
 
 e = FourierElement.character
 unit = FourierElement.unit
+
+
+def reference_left_multiplication(f, hbar, J, window):
+    """One complex exponential per matrix entry, assembled through COO.
+
+    The oracle for `build_left_multiplication`: a loop over the modes p
+    of f that shifts every window mode q to q + p, keeps the shifts that
+    stay in the window, and evaluates the cocycle on each entry.
+    """
+    d = f.dim
+    side = 2 * window + 1
+    dim_rep = side**d
+    axes = [np.arange(-window, window + 1)] * d
+    mesh = np.meshgrid(*axes, indexing="ij")
+    lattice = np.stack([m.reshape(-1) for m in mesh], axis=-1)  # (dim_rep, d)
+
+    def flat_index(modes):
+        idx = np.zeros(modes.shape[0], dtype=np.int64)
+        for a in range(d):
+            idx = idx * side + (modes[:, a] + window)
+        return idx
+
+    rows, cols, data = [], [], []
+    for p, c in zip(f.modes, f.coeffs):
+        q_dst = lattice + p
+        ok = np.abs(q_dst).max(axis=1) <= window
+        src = lattice[ok]
+        pairing = (p @ J.J) @ src.T
+        rows.append(flat_index(q_dst[ok]))
+        cols.append(flat_index(src))
+        data.append(c * np.exp(-2j * np.pi * hbar * pairing))
+    if rows:
+        rows, cols, data = map(np.concatenate, (rows, cols, data))
+    return sp.csr_matrix(
+        (data, (rows, cols)), shape=(dim_rep, dim_rep), dtype=np.complex128
+    )
+
+
+def assert_matches_reference(f, hbar, J, window):
+    L = build_left_multiplication(f, hbar, J, window)
+    assert L.format == "csc" and L.has_sorted_indices
+    new = L.tocsr()
+    ref = reference_left_multiplication(f, hbar, J, window)
+    ref.sort_indices()
+    assert np.array_equal(new.indptr, ref.indptr)
+    assert np.array_equal(new.indices, ref.indices)
+    # both evaluate phases of arguments up to 2 pi |hbar| sum_a |(pJ)_a q_a|,
+    # each to a rounding error proportional to the argument
+    arg = 2 * np.pi * abs(hbar) * np.abs(f.modes @ J.J).sum(axis=1).max(initial=0.0) * window
+    scale = np.abs(f.coeffs).max(initial=0.0) * max(1.0, arg)
+    assert np.abs(new.data - ref.data).max(initial=0.0) <= 1e-15 * scale
+
+
+def elements4(radius=2, max_terms=4):
+    modes = st.tuples(*[st.integers(-radius, radius)] * 4)
+    return st.dictionaries(modes, coefficients(), max_size=max_terms).map(
+        lambda d: FourierElement(4, d)
+    )
 
 
 class TestSandwichExamples:
@@ -128,6 +189,63 @@ class TestDenseOracle:
         est = op_norm_estimate(f, hbar, J, window=window)
         L = build_left_multiplication(f, hbar, J, window).toarray()
         assert est.op_lower == pytest.approx(np.linalg.norm(L, 2), rel=1e-9)
+
+
+class TestSeparableKernel:
+    """`build_left_multiplication` against the per-entry reference."""
+
+    @given(f=elements(), hbar=st.sampled_from([0.0, 0.1, 0.3]), margin=st.integers(-2, 3))
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_matches_reference_d2(self, J, f, hbar, margin):
+        # margin <= 0 puts modes of f on or beyond the window edge
+        assert_matches_reference(f, hbar, J, max(1, f.support_radius() + margin))
+
+    @given(f=elements4(), hbar=st.sampled_from([0.0, 0.1, 0.3]), window=st.integers(1, 3))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_reference_d4(self, f, hbar, window):
+        assert_matches_reference(f, hbar, SymplecticStructure.standard(4), window)
+
+    @pytest.mark.parametrize("hbar", [0.0, 0.1, 0.3])
+    def test_modes_on_the_window_edge(self, J, hbar):
+        W = 5
+        f = e((W, -W)) + 0.5j * e((-W, 2)) + 2.0 * e((0, W)) + e((W + 1, 0))
+        assert_matches_reference(f, hbar, J, W)
+
+    def test_zero_element(self, J):
+        L = build_left_multiplication(FourierElement.zero(2), 0.3, J, 4)
+        assert L.shape == (81, 81) and L.nnz == 0
+
+    # op_lower of the per-entry COO build, which applied L* as a transposed copy
+    @pytest.mark.parametrize(
+        "index, expected",
+        [
+            (0, 4.276469429041662),
+            (1, 4.433261700644425),
+            (2, 3.99491474716853),
+            (3, 3.015195889843862),
+        ],
+    )
+    def test_estimate_unchanged_on_random_elements(self, J, index, expected):
+        rng = np.random.default_rng(400)
+        for _ in range(index + 1):
+            f = random_element(rng, radius=3, n_terms=4)
+        est = op_norm_estimate(f, 0.3, J, window=8)
+        assert est.op_lower == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("hbar, expected", [(0.0, 4.990584127755881), (0.1, 4.089639445274353)])
+    def test_estimate_unchanged_on_smooth_symbol(self, J, hbar, expected):
+        rng = np.random.default_rng(1)
+        d = {}
+        for p1 in range(-4, 5):
+            for p2 in range(-4, 5):
+                amp = 2.0 ** (-max(abs(p1), abs(p2)))
+                d[(p1, p2)] = amp * (rng.standard_normal() + 1j * rng.standard_normal())
+        est = op_norm_estimate(FourierElement(2, d), hbar, J, window=32)
+        assert est.op_lower == pytest.approx(expected, rel=1e-12)
 
 
 class TestConvergenceReporting:

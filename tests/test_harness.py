@@ -198,14 +198,31 @@ class TestEgorovError:
         assert rec.note == "norm estimate unconverged"
 
     def test_alias_note_on_every_hbar(self, J):
-        # trunc_radius 2 leaves the pullback grid too coarse at t = 0.05; the
-        # pullback is computed once for the first hbar and reused by the rest
+        # trunc_radius 2 leaves too small a box at t = 0.05; the classical
+        # side is computed once for the first hbar and reused by the rest
         cfg = small_config(trunc_radius=2, alias_tol=1e-9, max_discarded_mass=1.0)
         result = scan(cfg, write=False)
         assert len(result.records) == 3
         for rec in result.records:
             assert not rec.valid
             assert "alias tolerance exceeded" in rec.note
+
+    def test_stage_timings_and_series_terms(self, J):
+        cfg = small_config()
+        rec = egorov_error(cfg.observable, cfg.hamiltonian, 0.1, 0.05, J, cfg)
+        assert rec.quantum_s > 0.0 and rec.classical_s > 0.0 and rec.norm_s > 0.0
+        assert rec.quantum_s + rec.classical_s + rec.norm_s <= rec.wall_time
+        assert rec.quantum_terms >= 2 and rec.classical_terms >= 2
+
+    def test_ode_step_is_not_read(self, J):
+        # neither side takes time steps, so the step size cannot move a record
+        a = scan(small_config(ode_step=1e-3), write=False)
+        b = scan(small_config(ode_step=0.05), write=False)
+        assert a.csv_text == b.csv_text
+
+    def test_tracer_names_stay_importable(self):
+        # the benchmark tracer wraps these names in the harness module
+        assert callable(harness.heisenberg_evolve) and callable(harness.pullback)
 
     def test_evolution_radius_growth(self):
         assert evolution_radius(8, 0.0, 4 * np.pi) == 8
@@ -279,6 +296,19 @@ class TestScan:
         result = scan(cfg, write=False)
         assert "wall" not in result.csv_text
         assert records_to_csv(result.records) == result.csv_text
+
+    def test_summary_sums_stages(self):
+        cfg = small_config(t_grid=(0.05, 0.1))
+        result = scan(cfg, write=False)
+        stages = result.summary["stages"]
+        records = result.records
+        for key in ("quantum_s", "classical_s", "norm_s", "quantum_terms"):
+            assert stages[key] == pytest.approx(sum(getattr(r, key) for r in records))
+        # one classical solve per t, shared by its three records
+        per_t = {r.t: r.classical_terms for r in records}
+        assert len(per_t) == 2 and stages["classical_terms"] == sum(per_t.values())
+        assert result.csv_text.splitlines()[0] == harness.CSV_HEADER
+        assert "quantum_s" not in result.csv_text and "terms" not in result.csv_text
 
     def test_env_var_redirects_output(self, tmp_path, monkeypatch):
         monkeypatch.setenv("NCTORUS_OUTPUT_DIR", str(tmp_path / "redirected"))

@@ -9,13 +9,20 @@ from nctorus import (
     commutator,
     conjugation_evolve,
     deformed_mul,
+    evolve,
     exp_deformed,
     heisenberg_evolve,
     isometry_defect,
     unitary_propagator,
 )
 from nctorus.errors import RealityError, TruncationOverflowError
-from nctorus.deform import _evolution_generator, _reachable_modes
+from nctorus.deform import (
+    CHEBYSHEV_TAIL,
+    _chebyshev_propagate,
+    _evolution_generator,
+    _evolution_system,
+    _reachable_modes,
+)
 from nctorus.quantum import EvolutionResult
 
 e = FourierElement.character
@@ -242,6 +249,67 @@ class TestGeneratorEngine:
             evolve(e((12, 1)), qh, 0.01, J, steps=1, trunc_radius=8)
             with pytest.raises(TruncationOverflowError):
                 evolve(e((13, 1)), qh, 0.01, J, steps=1, trunc_radius=8)
+
+
+class TestChebyshevEvolve:
+    """`evolve` (exp(t L_hbar) f by a Chebyshev series) against its oracles."""
+
+    @pytest.mark.parametrize("hbar", [0.1, 0.0125])
+    @pytest.mark.parametrize("t", [0.05, 0.25])
+    def test_shear_closed_form(self, J, shear_hamiltonian, hbar, t):
+        # the quantum analogue of criterion 4: e_(0,1) evolves to
+        # sum_n J_n(-2 c t) e_(n,1), c = 2 pi sin(2 pi hbar) / hbar in
+        # place of the classical 4 pi^2
+        from scipy.special import jv
+
+        c = 2 * np.pi * np.sin(2 * np.pi * hbar) / hbar
+        res = evolve(e((0, 1)), shear_hamiltonian, hbar, t, J, trunc_radius=64)
+        n = np.arange(-64, 65)
+        exact = FourierElement(2, zip([(k, 1) for k in n.tolist()], jv(n, -2 * c * t)))
+        assert (res.element - exact).l1() <= 1e-12
+        assert res.discarded_mass <= 1e-12
+
+    def test_matches_conjugation_on_generic_hamiltonian(self, J):
+        qh = QuantumHamiltonian(generic_hamiltonian(), 0.1)
+        f = e((0, 1)) + 0.5j * e((1, -1))
+        new = evolve(f, qh.base, 0.1, 0.05, J, trunc_radius=24)
+        conj = conjugation_evolve(f, qh, 0.05, J, trunc_radius=24)
+        assert new.discarded_mass <= 1e-12
+        assert (new.element - conj.element).l1() <= 1e-10
+
+    def test_rk4_converges_at_order_four(self, J):
+        qh = QuantumHamiltonian(generic_hamiltonian(), 0.1)
+        f = e((0, 1)) + 0.5j * e((1, -1))
+        # radius 20 keeps the box edge out of both results at t = 0.05
+        exact = evolve(f, qh.base, 0.1, 0.05, J, trunc_radius=20).element
+        errors = [
+            (heisenberg_evolve(f, qh, 0.05, J, steps, trunc_radius=20).element - exact).l1()
+            for steps in (25, 50, 100)
+        ]
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 14.0 <= coarse / fine <= 18.0
+
+    def test_discarded_mass_covers_shell_and_series_tail(self, J):
+        H = generic_hamiltonian()
+        f = e((0, 1)) + 0.5j * e((1, -1))
+        _, L, v, outside = _evolution_system(f, H, 0.2, J, 3)
+        full, terms, tail = _chebyshev_propagate(L, v, 0.1)
+        shell = np.abs(full[outside]).sum()
+        assert shell > 0.1 and 0.0 < tail <= CHEBYSHEV_TAIL
+        res = evolve(f, H, 0.2, 0.1, J, trunc_radius=3)
+        assert res.steps == terms
+        # the omitted terms weigh <= tail ||f||_2 in l2, so sqrt(n) times it
+        # in l1; adding it to the shell mass rounds once
+        tail_bound = np.sqrt(v.size) * tail * f.l2()
+        assert tail_bound > 0.0
+        error = abs(res.discarded_mass - shell - tail_bound)
+        assert error <= 2 * np.spacing(res.discarded_mass) < tail_bound
+
+    def test_zero_observable_and_reality(self, J):
+        res = evolve(FourierElement.zero(2), generic_hamiltonian(), 0.1, 0.2, J)
+        assert res.element.n_modes == 0 and res.discarded_mass == 0.0 and res.steps == 0
+        with pytest.raises(RealityError):
+            evolve(e((0, 1)), 1j * e((1, 0)), 0.1, 0.2, J)
 
 
 class TestAutomorphismProperties:
