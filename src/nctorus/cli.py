@@ -29,7 +29,7 @@ from .quantum import QuantumHamiltonian, heisenberg_evolve
 def _element(text):
     try:
         return FourierElement.from_literal(json.loads(text))
-    except (json.JSONDecodeError, ValueError, TypeError) as exc:
+    except (json.JSONDecodeError, ValueError, TypeError, OverflowError) as exc:
         raise argparse.ArgumentTypeError(f"bad element literal: {exc}")
 
 

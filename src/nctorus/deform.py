@@ -28,8 +28,9 @@ from .errors import DimensionMismatchError, RealityError
 from .lattice import (
     DEFAULT_MODE_CAP,
     FourierElement,
-    TruncationOverflowError,
+    _box_keys,
     _coalesce,
+    _convolve,
     partial_derivative,
     pointwise_mul,
 )
@@ -116,14 +117,8 @@ def deformed_mul(f, g, hbar, J, cap=DEFAULT_MODE_CAP):
         return FourierElement.zero(f.dim)
     pairing = (f.modes @ J.J) @ g.modes.T  # (nf, ng) of p . (J q)
     phases = np.exp(-2j * np.pi * h * pairing)
-    coeffs = (f.coeffs[:, None] * g.coeffs[None, :] * phases).reshape(-1)
-    modes = (f.modes[:, None, :] + g.modes[None, :, :]).reshape(-1, f.dim)
-    modes, coeffs = _coalesce(f.dim, modes, coeffs)
-    if modes.shape[0] and np.abs(modes).max() > cap:
-        raise TruncationOverflowError(
-            f"deformed product support radius {np.abs(modes).max()} exceeds cap {cap}"
-        )
-    return FourierElement._raw(f.dim, modes, coeffs)
+    coeffs = f.coeffs[:, None] * g.coeffs[None, :] * phases
+    return _convolve(f, g, coeffs, cap, "deformed product")
 
 
 def commutator(f, g, hbar, J, cap=DEFAULT_MODE_CAP):
@@ -196,7 +191,15 @@ def _mode_keys(modes, radius):
     side = 2 * radius + 1
     if side**d >= 2**63:
         raise ValueError(f"mode box of radius {radius} in d={d} overflows 64-bit keys")
-    return (modes + radius) @ (side ** np.arange(d - 1, -1, -1, dtype=np.int64))
+    return _box_keys(modes, (-radius,) * d, (side,) * d)
+
+
+def _in_sorted(keys, sorted_keys):
+    """Membership of each of `keys` in the sorted array `sorted_keys`."""
+    if sorted_keys.size == 0:
+        return np.zeros(keys.shape, dtype=bool)
+    at = np.searchsorted(sorted_keys, keys).clip(max=sorted_keys.size - 1)
+    return sorted_keys[at] == keys
 
 
 def _reachable_modes(start, shifts, radius):
@@ -204,8 +207,9 @@ def _reachable_modes(start, shifts, radius):
 
     The shifts are closed under negation first, which makes reachability
     symmetric: a breadth-first wave then meets old modes only in itself
-    and in the wave before it.  Waves run on `_mode_keys`; the modes are
-    returned as int64 rows in lexicographic order.
+    and in the wave before it.  Waves run on `_mode_keys`, kept sorted so
+    membership is a binary search; the modes are returned as int64 rows
+    in lexicographic order.
     """
     d = start.shape[1]
     shifts = np.unique(np.concatenate([shifts, -shifts]), axis=0)
@@ -217,7 +221,7 @@ def _reachable_modes(start, shifts, radius):
         cand = (front[:, None, :] + shifts[None, :, :]).reshape(-1, d)
         cand = cand[np.abs(cand).max(axis=1) <= radius]
         cand_keys, first = np.unique(_mode_keys(cand, radius), return_index=True)
-        new = ~(np.isin(cand_keys, front_keys) | np.isin(cand_keys, previous))
+        new = ~(_in_sorted(cand_keys, front_keys) | _in_sorted(cand_keys, previous))
         previous, front_keys = front_keys, cand_keys[new]
         front = cand[first[new]]
         waves.append(front_keys)

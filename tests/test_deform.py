@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from nctorus import (
     FourierElement,
@@ -14,9 +15,16 @@ from nctorus import (
     poisson_bracket,
     scaled_commutator_residual,
 )
+from nctorus.errors import TruncationOverflowError
 from nctorus.harness import fit_order
 
-from conftest import elements, random_element
+from conftest import (
+    assert_same_bits,
+    element_pairs,
+    elements,
+    random_element,
+    reference_deformed_mul,
+)
 
 e = FourierElement.character
 unit = FourierElement.unit
@@ -133,6 +141,59 @@ class TestDeformedMul:
         # O(hbar): consecutive ratios track the hbar ratios
         assert errs[1] / errs[0] == pytest.approx(0.1, rel=0.05)
         assert errs[2] / errs[1] == pytest.approx(0.1, rel=0.05)
+
+
+def skew(dim):
+    """A fixed generic skew-symmetric J on R^dim (degenerate in odd dim)."""
+    a = np.random.default_rng(dim).standard_normal((dim, dim))
+    return SymplecticStructure(a - a.T)
+
+
+class TestDeformedMulKeys:
+    """The key-space twisted convolution against the mode-array reference."""
+
+    @given(pair=element_pairs(dims=(2, 3, 4)), hbar=st.sampled_from([0.0, 0.1, -0.37, 0.0125]))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_reference(self, pair, hbar):
+        f, g = pair
+        J = skew(f.dim)
+        assert_same_bits(
+            deformed_mul(f, g, hbar, J, cap=128), reference_deformed_mul(f, g, hbar, J, cap=128)
+        )
+
+    @pytest.mark.parametrize(
+        "spread, n", [(8, 150), (40, 8), (2**40, 5)], ids=["dense", "wide", "huge"]
+    )
+    @pytest.mark.parametrize("hbar", [0.0, 0.1])
+    def test_large_cases(self, J, spread, n, hbar):
+        rng = np.random.default_rng(n)
+        f, g = (random_element(rng, radius=spread, n_terms=n) for _ in range(2))
+        assert_same_bits(
+            deformed_mul(f, g, hbar, J, cap=2**42), reference_deformed_mul(f, g, hbar, J, cap=2**42)
+        )
+
+    def test_cancellation_beyond_cap_passes(self, J):
+        # collinear modes have phase 1: the pairs at (70, 0) cancel and (110, 0) prunes
+        eps = 1e-8
+        f = e((0, 0)) + eps * e((40, 0))
+        g = e((30, 0)) - eps * e((70, 0))
+        got = deformed_mul(f, g, 0.1, J, cap=64)
+        assert_same_bits(got, reference_deformed_mul(f, g, 0.1, J, cap=64))
+        assert got == e((30, 0))
+
+    def test_surviving_mode_beyond_cap_raises(self, J):
+        f = e((0, 1)) + 1e-3 * e((40, 0))
+        for mul in (deformed_mul, reference_deformed_mul):
+            with pytest.raises(TruncationOverflowError, match="radius 70 exceeds cap 64"):
+                mul(f, e((30, 0)), 0.1, J, cap=64)
+
+    def test_zero_factors(self, J):
+        f = 2.0 * e((1, 2)) + e((-3, 0))
+        zero = FourierElement.zero(2)
+        for got in (deformed_mul(zero, f, 0.1, J), deformed_mul(f, zero, 0.1, J)):
+            assert got.n_modes == 0 and got.modes.shape == (0, 2)
+        tiny = 1e-8 * e((1, 0))
+        assert deformed_mul(tiny, tiny, 0.1, J).n_modes == 0
 
 
 class TestCommutator:

@@ -120,10 +120,12 @@ class TestConfigValidation:
             {"trunc_radius": 8.0},
             {"H": []},
             {"t_grid": [0.25, -0.5]},
+            {"f": [[[0, 1], float("nan"), 0]]},
+            {"H": [[[1, 0], 1, 0], [[-1, 0], 1, 0], [[0, 1], 0, float("inf")]]},
         ],
         ids=[
             "str-grid", "J-3x3", "nan-t", "nan-step", "short-band", "float-radius", "empty-H",
-            "negative-t",
+            "negative-t", "nan-f", "inf-H",
         ],
     )
     def test_rejects_bad_input(self, tmp_path, overrides):
@@ -419,3 +421,19 @@ class TestCli:
     def test_bad_element_literal(self, capsys):
         with pytest.raises(SystemExit):
             main(["bracket", "--f", "not json", "--g", '[[[0,1],1,0]]'])
+
+    @pytest.mark.parametrize(
+        "literal",
+        [
+            "[[[1,0],NaN,0],[[0,1],1,0]]",
+            "[[[1,0],1,Infinity]]",
+            f"[[[1,0],{10**400},0]]",
+            f"[[[{10**30},0],1,0]]",
+        ],
+        ids=["nan", "inf", "huge-coefficient", "huge-mode"],
+    )
+    def test_unrepresentable_literal_exits_2(self, literal, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["product", "--f", literal, "--g", "[[[0,1],1,0]]", "--hbar", "0.1"])
+        assert exc.value.code == 2
+        assert "bad element literal" in capsys.readouterr().err

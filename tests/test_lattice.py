@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,9 +19,16 @@ from nctorus.errors import (
     TruncationOverflowError,
     UnderResolvedGridError,
 )
-from nctorus.lattice import PRUNE_TOL, _coalesce, parseval_mean_square
+from nctorus.lattice import DENSE_BOX_FACTOR, PRUNE_TOL, _coalesce, parseval_mean_square
 
-from conftest import elements
+from conftest import (
+    assert_same_bits,
+    element_pairs,
+    elements,
+    elements_nd,
+    reference_pointwise_mul,
+    unique_rows_coalesce,
+)
 
 e = FourierElement.character
 unit = FourierElement.unit
@@ -170,6 +179,15 @@ class TestLiterals:
         f = FourierElement(2, [((1, 0), 1e-16)])
         assert f.n_modes == 0
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            FourierElement.from_literal([[[1, 0], bad, 0], [[0, 1], 1, 0]])
+        with pytest.raises(ValueError, match="finite"):
+            FourierElement.from_literal([[[1, 0], 1, bad]])
+        with pytest.raises(ValueError, match="finite"):
+            FourierElement.character((2, 3), complex(0.0, bad))
+
     def test_truncate_reports_mass(self):
         f = e((1, 0)) + 0.5 * e((5, 5))
         g, dropped = f.truncate(2)
@@ -177,25 +195,18 @@ class TestLiterals:
         assert dropped == pytest.approx(0.5)
 
 
-def unique_rows_coalesce(dim, modes, coeffs):
-    """Reference for `_coalesce`: sort rows with np.unique(axis=0), sum with np.add.at."""
-    modes = np.asarray(modes, dtype=np.int64).reshape(-1, dim)
-    coeffs = np.asarray(coeffs, dtype=np.complex128).reshape(-1)
-    if modes.shape[0] == 0:
-        return modes, coeffs
-    uniq, inverse = np.unique(modes, axis=0, return_inverse=True)
-    summed = np.zeros(uniq.shape[0], dtype=np.complex128)
-    np.add.at(summed, inverse.reshape(-1), coeffs)
-    keep = np.abs(summed) > PRUNE_TOL
-    return uniq[keep], summed[keep]
-
-
 @st.composite
 def coalesce_inputs(draw):
-    """Rows with many duplicates, some cancelling to below PRUNE_TOL, maybe none."""
-    dim = draw(st.sampled_from([1, 2, 3]))
+    """Rows with many duplicates, some cancelling to below PRUNE_TOL, maybe none.
+
+    Modes spread over a small box (dense summing), a wide one (lexsort),
+    or up to +-2^40, where d >= 2 boxes overflow int64 keys.
+    """
+    dim = draw(st.sampled_from([1, 2, 3, 4]))
+    spread = draw(st.sampled_from([1, 2, 40, 2**40]))
     n = draw(st.integers(0, 40))
-    modes = [draw(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim)) for _ in range(n)]
+    coord = st.integers(-spread, spread)
+    modes = [draw(st.lists(coord, min_size=dim, max_size=dim)) for _ in range(n)]
     coeffs = [
         complex(draw(st.floats(-3, 3)), draw(st.floats(-3, 3))) for _ in range(n)
     ]
@@ -204,6 +215,24 @@ def coalesce_inputs(draw):
         modes.append(modes[i])
         coeffs.append(-coeffs[i] + tiny)
     return dim, np.array(modes, dtype=np.int64).reshape(-1, dim), np.array(coeffs, dtype=complex)
+
+
+def coalesce_path(modes):
+    """The summing path `_coalesce` takes on these (nonempty) rows."""
+    size = math.prod(int(b) - int(a) + 1 for a, b in zip(modes.min(axis=0), modes.max(axis=0)))
+    return "dense" if size <= DENSE_BOX_FACTOR * modes.shape[0] else "lexsort"
+
+
+def box_rows(rng, lo, hi, n):
+    """n rows in the box [lo, hi] with both corners present, plus duplicates of them."""
+    lo, hi = np.array(lo, dtype=np.int64), np.array(hi, dtype=np.int64)
+    fill = lo + (rng.random((n - 2, lo.size)) * (hi - lo + 1).astype(float)).astype(np.int64)
+    rows = np.vstack([lo, hi, np.minimum(fill, hi)])
+    coeffs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    dup = rng.integers(0, n, n // 2)
+    rows = np.vstack([rows, rows[dup]])
+    coeffs = np.concatenate([coeffs, -coeffs[dup] + np.where(rng.random(dup.size) < 0.5, 0.0, 1e-3)])
+    return rows, coeffs
 
 
 class TestCoalesce:
@@ -217,6 +246,114 @@ class TestCoalesce:
         assert np.array_equal(got_modes, want_modes)
         assert got_coeffs.tobytes() == want_coeffs.tobytes()
 
+    # 8 rows plus 4 duplicates: the dense rule admits boxes of up to 24 bins
+    @pytest.mark.parametrize(
+        "lo, hi, path",
+        [
+            ((0,), (23,), "dense"),
+            ((0,), (24,), "lexsort"),
+            ((-3, 2), (0, 7), "dense"),  # 4 x 6 = 24 bins
+            ((-3, 2), (1, 6), "lexsort"),  # 5 x 5 = 25 bins
+            ((-1, -1, -1, -1), (0, 0, 0, 1), "dense"),  # 24 bins
+            ((-2, -2, -2, -2), (2, 2, 2, 2), "lexsort"),
+            ((-(2**40),), (2**40,), "lexsort"),
+            ((-(2**40), 0), (2**40, 1), "lexsort"),
+            ((-(2**40), -(2**40)), (2**40, 2**40), "lexsort"),
+            ((-(2**40),) * 4, (2**40,) * 4, "lexsort"),
+        ],
+    )
+    def test_paths_bit_identical(self, lo, hi, path):
+        rows, coeffs = box_rows(np.random.default_rng(len(lo) + abs(lo[0])), lo, hi, 8)
+        assert coalesce_path(rows) == path
+        got_modes, got_coeffs = _coalesce(len(lo), rows, coeffs)
+        want_modes, want_coeffs = unique_rows_coalesce(len(lo), rows, coeffs)
+        assert np.array_equal(got_modes, want_modes)
+        assert got_coeffs.tobytes() == want_coeffs.tobytes()
+
     def test_empty_input(self):
         modes, coeffs = _coalesce(3, np.empty((0, 3)), np.empty(0))
         assert modes.shape == (0, 3) and coeffs.shape == (0,)
+
+    def test_signed_zero_parts_become_zero(self):
+        modes, coeffs = _coalesce(1, [[0], [1]], [complex(-0.0, 1.0), complex(2.0, -0.0)])
+        assert coeffs.tobytes() == np.array([1j, 2.0]).tobytes()
+
+
+class TestScalarOps:
+    """Scalar `*`, `star` and `partial_derivative` only prune: they match `_coalesce`."""
+
+    @given(elements_nd(), st.sampled_from([1.0, -1.0, 0.0, -0.0, 1j, -1j, 2.5 - 0.5j, 1e-15]))
+    @settings(max_examples=100, deadline=None)
+    def test_scalar_mul(self, f, c):
+        want = _coalesce(f.dim, f.modes, f.coeffs * complex(c))
+        assert_same_bits(c * f, FourierElement._raw(f.dim, *want))
+
+    @given(elements_nd())
+    @settings(max_examples=100, deadline=None)
+    def test_star(self, f):
+        want = _coalesce(f.dim, -f.modes, np.conj(f.coeffs))
+        assert_same_bits(f.star(), FourierElement._raw(f.dim, *want))
+
+    @given(elements_nd())
+    @settings(max_examples=100, deadline=None)
+    def test_partial_derivative(self, f):
+        for axis in range(f.dim):
+            want = _coalesce(f.dim, f.modes, f.coeffs * (2j * np.pi * f.modes[:, axis]))
+            assert_same_bits(partial_derivative(f, axis), FourierElement._raw(f.dim, *want))
+
+    def test_negation_of_imaginary_unit(self):
+        # -1 * 1j has real part -0.0; a coalesced sum turns it into 0.0
+        g = -(1j * unit())
+        assert g.coeffs.tobytes() == np.array([-1j + 0.0]).tobytes()
+        assert np.signbit(g.coeffs.real).tolist() == [False]
+
+
+class TestPointwiseKeys:
+    """The key-space convolution against the mode-array reference."""
+
+    @given(element_pairs())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_reference(self, pair):
+        f, g = pair
+        assert_same_bits(pointwise_mul(f, g, cap=128), reference_pointwise_mul(f, g, cap=128))
+
+    @pytest.mark.parametrize("spread, n", [(2, 40), (30, 6), (2**40, 4)], ids=["dense", "wide", "huge"])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_large_cases(self, dim, spread, n):
+        rng = np.random.default_rng(dim * n)
+        f, g = (
+            FourierElement(
+                dim,
+                zip(
+                    map(tuple, rng.integers(-spread, spread + 1, (n, dim)).tolist()),
+                    rng.standard_normal(n) + 1j * rng.standard_normal(n),
+                ),
+            )
+            for _ in range(2)
+        )
+        assert_same_bits(pointwise_mul(f, g, cap=2**42), reference_pointwise_mul(f, g, cap=2**42))
+
+    def test_cancellation_beyond_cap_passes(self):
+        # the pairs at (70, 0) cancel exactly and (110, 0) prunes to nothing
+        eps = 1e-8
+        f = e((0, 0)) + eps * e((40, 0))
+        g = e((30, 0)) - eps * e((70, 0))
+        got = pointwise_mul(f, g, cap=64)
+        assert_same_bits(got, reference_pointwise_mul(f, g, cap=64))
+        assert got == e((30, 0))
+
+    def test_surviving_mode_beyond_cap_raises(self):
+        f = e((0, 0)) + 1e-3 * e((40, 0))
+        with pytest.raises(TruncationOverflowError, match="radius 70 exceeds cap 64"):
+            pointwise_mul(f, e((30, 0)), cap=64)
+        with pytest.raises(TruncationOverflowError, match="radius 70 exceeds cap 64"):
+            reference_pointwise_mul(f, e((30, 0)), cap=64)
+
+    def test_zero_factors(self):
+        f = 2.0 * e((1, 2)) + e((-3, 0))
+        zero = FourierElement.zero(2)
+        for got in (pointwise_mul(zero, f), pointwise_mul(f, zero), pointwise_mul(zero, zero)):
+            assert got.n_modes == 0 and got.modes.shape == (0, 2)
+        # factors whose products all prune away
+        tiny = 1e-8 * e((1, 0))
+        assert pointwise_mul(tiny, tiny).n_modes == 0
