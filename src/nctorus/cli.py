@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .deform import (
@@ -40,8 +41,18 @@ def _matrix(text):
         raise argparse.ArgumentTypeError(f"bad J matrix: {exc}")
 
 
+def _finite(text):
+    try:
+        x = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return x
+
+
 def _floats(text):
-    return [float(x) for x in text.split(",")]
+    return [_finite(x) for x in text.split(",")]
 
 
 def _print_element(f):
@@ -57,7 +68,7 @@ def build_parser():
     p = sub.add_parser("product", help="deformed product of two elements")
     p.add_argument("--f", type=_element, required=True)
     p.add_argument("--g", type=_element, required=True)
-    p.add_argument("--hbar", type=float, required=True)
+    p.add_argument("--hbar", type=_finite, required=True)
     p.add_argument("--J", type=_matrix, default=SymplecticStructure.standard())
 
     p = sub.add_parser("bracket", help="Poisson bracket of two elements")
@@ -69,34 +80,35 @@ def build_parser():
     p.add_argument("--hamiltonian", type=_element, required=True)
     p.add_argument("--J", type=_matrix, default=SymplecticStructure.standard())
     p.add_argument("--points", type=str, required=True, help="JSON list of d-vectors")
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--step", type=float, default=1e-3)
+    p.add_argument("--t", type=_finite, required=True)
+    p.add_argument("--step", type=_finite, default=1e-3)
     p.add_argument("--jacobians", action="store_true")
 
-    p = sub.add_parser("evolve-quantum", help="Heisenberg-ODE evolution of an observable")
+    p = sub.add_parser(
+        "evolve-quantum", help="Heisenberg evolution exp(t L_hbar) f of an observable"
+    )
     p.add_argument("--f", type=_element, required=True)
     p.add_argument("--hamiltonian", type=_element, required=True)
-    p.add_argument("--hbar", type=float, required=True)
-    p.add_argument("--t", type=float, required=True)
+    p.add_argument("--hbar", type=_finite, required=True)
+    p.add_argument("--t", type=_finite, required=True)
     p.add_argument("--J", type=_matrix, default=SymplecticStructure.standard())
-    p.add_argument("--step", type=float, default=1e-3)
     p.add_argument("--trunc-radius", type=int, default=32)
 
     p = sub.add_parser("evolve-classical", help="spectral pullback along the flow")
     p.add_argument("--f", type=_element, required=True)
     p.add_argument("--hamiltonian", type=_element, required=True)
-    p.add_argument("--t", type=float, required=True)
+    p.add_argument("--t", type=_finite, required=True)
     p.add_argument("--J", type=_matrix, default=SymplecticStructure.standard())
-    p.add_argument("--step", type=float, default=1e-3)
+    p.add_argument("--step", type=_finite, default=1e-3)
     p.add_argument("--trunc-radius", type=int, default=32)
     p.add_argument("--grid", type=int, default=None)
 
     p = sub.add_parser("norm", help="sandwich-certified deformed norm estimate")
     p.add_argument("--f", type=_element, required=True)
-    p.add_argument("--hbar", type=float, required=True)
+    p.add_argument("--hbar", type=_finite, required=True)
     p.add_argument("--J", type=_matrix, default=SymplecticStructure.standard())
     p.add_argument("--window", type=int, default=None)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_finite, default=1e-8)
 
     p = sub.add_parser("scan", help="full (hbar, t) convergence scan from a config file")
     p.add_argument("config", type=str)
@@ -135,10 +147,7 @@ def _dispatch(args):
         sys.stdout.write(result.to_csv(points))
     elif args.command == "evolve-quantum":
         qh = QuantumHamiltonian(args.hamiltonian, PlanckParam(args.hbar))
-        steps = step_count(args.t, args.step)
-        res = heisenberg_evolve(
-            args.f, qh, args.t, args.J, steps, trunc_radius=args.trunc_radius
-        )
+        res = heisenberg_evolve(args.f, qh, args.t, args.J, trunc_radius=args.trunc_radius)
         _print_element(res.element)
         print(
             json.dumps({"discarded_mass": res.discarded_mass, "steps": res.steps}),

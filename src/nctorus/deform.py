@@ -90,7 +90,8 @@ class PlanckParam:
 
 
 def _as_hbar(hbar):
-    return hbar.hbar if isinstance(hbar, PlanckParam) else float(hbar)
+    """hbar as a float; like `PlanckParam`, a non-finite value raises `ValueError`."""
+    return (hbar if isinstance(hbar, PlanckParam) else PlanckParam(float(hbar))).hbar
 
 
 def cocycle(p, q, hbar, J):
@@ -172,8 +173,8 @@ def one_sided_residual(F, g, hbar, J, cap=DEFAULT_MODE_CAP):
 class EvolutionResult:
     """An evolved element plus truncation accounting.
 
-    `steps` is the solver's work count: RK4 steps, propagator substeps,
-    or terms of an exponential series.
+    `steps` is the solver's work count: propagator substeps or terms of
+    an exponential series.
     """
 
     element: FourierElement

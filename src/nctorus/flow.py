@@ -22,13 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-# the series engine lives next to the generator; its names stay importable here
-from .deform import (  # noqa: F401
-    CHEBYSHEV_TAIL,
-    _chebyshev_propagate,
-    bessel_j,
-    evolve,
-)
+from .deform import evolve
 from .errors import RealityError, SpectralResolutionError, UnderResolvedGridError
 from .lattice import (
     FourierElement,

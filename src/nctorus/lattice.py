@@ -13,6 +13,7 @@ and every operation is a pure function.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -325,6 +326,8 @@ class FourierElement:
         if isinstance(scalar, FourierElement):
             return NotImplemented
         c = complex(scalar)
+        if not cmath.isfinite(c):
+            raise ValueError("scalar must be finite")
         return FourierElement._raw(self.dim, *_prune(self.modes, self.coeffs * c))
 
     __rmul__ = __mul__

@@ -11,6 +11,7 @@ from nctorus import (
     commutator,
     deformed_mul,
     one_sided_residual,
+    op_norm_estimate,
     pointwise_mul,
     poisson_bracket,
     scaled_commutator_residual,
@@ -54,6 +55,16 @@ class TestPlanck:
 
     def test_zero_is_legal(self):
         assert PlanckParam(0.0).hbar == 0.0
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_float_is_rejected(self, J, bad):
+        # a float hbar is checked as a PlanckParam is, not turned into a zero product
+        f = e((1, 0)) + e((0, 1))
+        for call in (deformed_mul, commutator):
+            with pytest.raises(ValueError, match="hbar must be finite"):
+                call(f, f, bad, J)
+        with pytest.raises(ValueError, match="hbar must be finite"):
+            op_norm_estimate(f, bad, J, window=4)
 
 
 class TestCocycle:

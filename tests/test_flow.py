@@ -16,9 +16,9 @@ from nctorus import (
     pullback,
     torus_distance,
 )
-from nctorus.deform import _evolution_generator, _reachable_modes
+from nctorus.deform import _evolution_generator, _reachable_modes, bessel_j
 from nctorus.errors import RealityError, SpectralResolutionError, UnderResolvedGridError
-from nctorus.flow import bessel_j, classical_evolve, step_count
+from nctorus.flow import classical_evolve, step_count
 
 from conftest import random_element
 from test_quantum import generic_hamiltonian, random_real_element

@@ -418,6 +418,30 @@ class TestCli:
         path.write_text("{broken")
         assert main(["scan", str(path)]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["product", "--f", json.dumps(OBS), "--g", json.dumps(OBS), "--hbar", "nan"],
+            ["norm", "--f", json.dumps(OBS), "--hbar", "nan"],
+            ["norm", "--f", json.dumps(OBS), "--hbar", "0.1", "--tol", "nan"],
+            ["evolve-quantum", "--f", json.dumps(OBS), "--hamiltonian", json.dumps(SHEAR),
+             "--hbar", "0.1", "--t", "inf"],
+            ["evolve-classical", "--f", json.dumps(OBS), "--hamiltonian", json.dumps(SHEAR),
+             "--t", "0.1", "--step", "inf"],
+            ["flow", "--hamiltonian", json.dumps(SHEAR), "--points", "[[0.25, 0.0]]",
+             "--t=-inf"],
+            ["commutator-scan", "--hamiltonian", json.dumps(SHEAR), "--g", json.dumps(OBS),
+             "--hbar-grid", "0.1,nan"],
+        ],
+        ids=["product-hbar", "norm-hbar", "norm-tol", "evolve-quantum-t",
+             "evolve-classical-step", "flow-t", "commutator-scan-hbar-grid"],
+    )
+    def test_non_finite_float_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "not a finite number" in capsys.readouterr().err
+
     def test_bad_element_literal(self, capsys):
         with pytest.raises(SystemExit):
             main(["bracket", "--f", "not json", "--g", '[[[0,1],1,0]]'])

@@ -188,6 +188,15 @@ class TestLiterals:
         with pytest.raises(ValueError, match="finite"):
             FourierElement.character((2, 3), complex(0.0, bad))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(1.0, -float("inf"))])
+    def test_scalar_multiple_rejects_non_finite(self, bad):
+        # nan * f used to prune to the zero element, inf * f to hold inf + nan j
+        f = e((1, 0)) + 0.5 * e((0, 1))
+        with pytest.raises(ValueError, match="scalar must be finite"):
+            bad * f
+        with pytest.raises(ValueError, match="scalar must be finite"):
+            f * bad
+
     def test_truncate_reports_mass(self):
         f = e((1, 0)) + 0.5 * e((5, 5))
         g, dropped = f.truncate(2)
