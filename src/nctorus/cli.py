@@ -51,6 +51,16 @@ def _finite(text):
     return x
 
 
+def _positive_int(text):
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1: {text!r}")
+    return n
+
+
 def _floats(text):
     return [_finite(x) for x in text.split(",")]
 
@@ -92,7 +102,7 @@ def build_parser():
     p.add_argument("--hbar", type=_finite, required=True)
     p.add_argument("--t", type=_finite, required=True)
     p.add_argument("--J", type=_matrix, default=SymplecticStructure.standard())
-    p.add_argument("--trunc-radius", type=int, default=32)
+    p.add_argument("--trunc-radius", type=_positive_int, default=32)
 
     p = sub.add_parser("evolve-classical", help="spectral pullback along the flow")
     p.add_argument("--f", type=_element, required=True)
@@ -100,14 +110,14 @@ def build_parser():
     p.add_argument("--t", type=_finite, required=True)
     p.add_argument("--J", type=_matrix, default=SymplecticStructure.standard())
     p.add_argument("--step", type=_finite, default=1e-3)
-    p.add_argument("--trunc-radius", type=int, default=32)
-    p.add_argument("--grid", type=int, default=None)
+    p.add_argument("--trunc-radius", type=_positive_int, default=32)
+    p.add_argument("--grid", type=_positive_int, default=None)
 
     p = sub.add_parser("norm", help="sandwich-certified deformed norm estimate")
     p.add_argument("--f", type=_element, required=True)
     p.add_argument("--hbar", type=_finite, required=True)
     p.add_argument("--J", type=_matrix, default=SymplecticStructure.standard())
-    p.add_argument("--window", type=int, default=None)
+    p.add_argument("--window", type=_positive_int, default=None)
     p.add_argument("--tol", type=_finite, default=1e-8)
 
     p = sub.add_parser("scan", help="full (hbar, t) convergence scan from a config file")
@@ -165,9 +175,12 @@ def _dispatch(args):
             file=sys.stderr,
         )
     elif args.command == "norm":
-        est = op_norm_estimate(
-            args.f, args.hbar, args.J, window=args.window, tol=args.tol
-        )
+        try:
+            est = op_norm_estimate(
+                args.f, args.hbar, args.J, window=args.window, tol=args.tol
+            )
+        except ValueError as exc:  # a window below support radius + 1
+            raise ConfigError(str(exc)) from exc
         print(est.to_json())
     elif args.command == "scan":
         config = ExperimentConfig.from_file(args.config)

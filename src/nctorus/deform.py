@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DimensionMismatchError, RealityError
+from .errors import ConfigError, DimensionMismatchError, RealityError
 from .lattice import (
     DEFAULT_MODE_CAP,
     FourierElement,
@@ -42,9 +42,12 @@ class SymplecticStructure:
 
     Inputs are antisymmetrized at construction; matrices violating
     skewness beyond 1e-12 are rejected.  Degenerate J is permitted.
+    Whether every entry is an integer, which makes every pairing
+    p . (J q) of modes one, is recorded once for `deformed_mul`.
     """
 
     J: np.ndarray = field()
+    _integral: bool = field(repr=False, compare=False)
 
     def __init__(self, J):
         J = np.asarray(J, dtype=np.float64)
@@ -56,6 +59,8 @@ class SymplecticStructure:
         J = 0.5 * (J - J.T)
         J.setflags(write=False)
         object.__setattr__(self, "J", J)
+        integral = np.isfinite(J).all() and (J == np.round(J)).all()
+        object.__setattr__(self, "_integral", bool(integral))
 
     @classmethod
     def standard(cls, dim=2):
@@ -104,6 +109,38 @@ def cocycle(p, q, hbar, J):
     return complex(np.exp(-2j * np.pi * h * (p @ (J.J @ q))))
 
 
+def _table_range(pairing, J):
+    """The range (lo, hi) of `pairing` if `_twist` may use a phase table, else None.
+
+    For an integral J every pairing p . (J q) is an integer-valued float.
+    The table applies when its range is exact in int64 (|lo|, |hi| <
+    2^53) and holds no more integers than there are pairs.
+    """
+    if not J._integral:
+        return None
+    lo, hi = pairing.min(), pairing.max()
+    if max(abs(lo), abs(hi)) < 2**53 and hi - lo + 1 <= pairing.size:
+        return int(lo), int(hi)
+    return None
+
+
+def _twist(pairing, h, J):
+    """The phases exp(-2 pi i h k) for the pairings k = p . (J q) in `pairing`.
+
+    Inside `_table_range` one exp per integer of [lo, hi] is gathered by
+    `pairing - lo`; otherwise one exp per pair.  The table gives every
+    entry the exp of the same float argument as the per-pair exp, so the
+    phases are the same bits, up to the sign of an imaginary zero at a
+    pairing of -0.0, which the sums of `_convolve` drop.
+    """
+    table_range = _table_range(pairing, J)
+    if table_range is None:
+        return np.exp(-2j * np.pi * h * pairing)
+    lo, hi = table_range
+    table = np.exp(-2j * np.pi * h * np.arange(lo, hi + 1, dtype=np.float64))
+    return table[pairing.astype(np.int64) - lo]
+
+
 def deformed_mul(f, g, hbar, J, cap=DEFAULT_MODE_CAP):
     """The deformed product f x_h g as a twisted convolution.
 
@@ -117,8 +154,7 @@ def deformed_mul(f, g, hbar, J, cap=DEFAULT_MODE_CAP):
     if f.n_modes == 0 or g.n_modes == 0:
         return FourierElement.zero(f.dim)
     pairing = (f.modes @ J.J) @ g.modes.T  # (nf, ng) of p . (J q)
-    phases = np.exp(-2j * np.pi * h * pairing)
-    coeffs = f.coeffs[:, None] * g.coeffs[None, :] * phases
+    coeffs = f.coeffs[:, None] * g.coeffs[None, :] * _twist(pairing, h, J)
     return _convolve(f, g, coeffs, cap, "deformed product")
 
 
@@ -280,6 +316,38 @@ def _evolution_system(f, H, hbar, J, trunc_radius):
 #: terms `evolve` leaves out; each term has l2 norm <= ||f||_2.
 CHEBYSHEV_TAIL = 1e-15
 
+#: Largest series argument z = |t| ||L||_1 that `evolve` accepts; the
+#: series runs about z terms, and `bessel_j` holds and loops over about
+#: z floats (0.13 s at 1e5 on a 2-core Xeon VM).  The largest z reached
+#: is 105 in the test suite, 79 in the acceptance scan, 39 in the
+#: benchmark scans, 16 in the demos and 6 in the benchmark's generic
+#: evolution.
+MAX_SERIES_Z = 1e5
+
+
+def _check_series_length(z):
+    """Raise `ConfigError` unless the series argument z is at most `MAX_SERIES_Z`."""
+    if not z <= MAX_SERIES_Z:
+        raise ConfigError(
+            f"evolution needs a series of length |t| ||L||_1 = {z:.3g}, "
+            f"above the limit {MAX_SERIES_Z:.0e}; shorten t"
+        )
+
+
+def _column_l1(H, hbar, J, modes):
+    """The l1 norm of the generator's column at each of `modes`, every target kept.
+
+    The entries are those of `_evolution_generator`.  On the mode set of
+    `_evolution_system` the columns of supp f keep all their targets, so
+    their largest norm is a lower bound on ||L||_1 that needs no mode set.
+    """
+    pairing = (H.modes @ J.J) @ modes.T
+    if hbar == 0.0:
+        w = 4.0 * np.pi**2 * np.abs(pairing)
+    else:
+        w = (2.0 * np.pi / abs(hbar)) * np.abs(np.sin(2.0 * np.pi * hbar * pairing))
+    return np.abs(H.coeffs) @ w
+
 
 def bessel_j(z):
     """J_0(z), ..., J_M(z) for z > 0 by Miller's backward recurrence.
@@ -314,6 +382,7 @@ def _chebyshev_propagate(L, v, t):
     """
     rho = float(abs(L).sum(axis=0).max(initial=0.0))
     z = abs(t) * rho
+    _check_series_length(z)
     if z == 0.0:
         return v.copy(), 0, 0.0
     coeffs = bessel_j(z)
@@ -336,7 +405,9 @@ def evolve(f, H, hbar, t, J, trunc_radius=32):
     H within radius max(trunc_radius, radius of f) + 4 rH
     (`_evolution_system`).  For real H it is anti-Hermitian, and its
     exponential is applied by a Chebyshev-Bessel series truncated below
-    `CHEBYSHEV_TAIL`, with no step size and no randomness.
+    `CHEBYSHEV_TAIL`, with no step size and no randomness.  A series
+    argument z = |t| ||L||_1 above `MAX_SERIES_Z` raises `ConfigError`;
+    a t far past that limit is refused before the mode set is built.
 
     `discarded_mass` bounds, in l1 and hence in every C*-norm, what the
     result leaves out of exp(t L_hbar) f on the mode set: the l1 mass at
@@ -348,7 +419,10 @@ def evolve(f, H, hbar, t, J, trunc_radius=32):
         raise RealityError("Hamiltonian fails the reality test")
     if f.n_modes == 0:
         return EvolutionResult(element=f, discarded_mass=0.0, steps=0)
-    modes, L, v, outside = _evolution_system(f, H, _as_hbar(hbar), J, trunc_radius)
+    h = _as_hbar(hbar)
+    # refuse a runaway t before the mode set, which grows with the radius, is built
+    _check_series_length(abs(t) * _column_l1(H, h, J, f.modes).max())
+    modes, L, v, outside = _evolution_system(f, H, h, J, trunc_radius)
     v, terms, tail = _chebyshev_propagate(L, v, t)
     discarded = float(np.abs(v[outside]).sum()) + math.sqrt(v.size) * tail * f.l2()
     v[outside] = 0.0

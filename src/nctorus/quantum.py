@@ -129,17 +129,22 @@ def unitary_propagator(qh, t, J, tol=1e-12, trunc_radius=32, max_substep_phase=4
 
 
 def conjugation_evolve(f, qh, t, J, tol=1e-12, trunc_radius=32):
-    """The quantum flow as a sandwich: u_t x_h f x_h u_{-t}."""
+    """The quantum flow as a sandwich: u_t x_h f x_h u_t^*.
+
+    The star is an antilinear anti-automorphism of the deformed algebra
+    (Rieffel, Pacific J. Math. 93, 1981), so for the real H that
+    `QuantumHamiltonian` enforces, u_t^* = exp_h(-i t (-pi/hbar) H) =
+    u_{-t}: one propagator serves both factors.  Star commutes with the
+    symmetric box truncation, so the adjoint drops the same mass in the
+    same substeps; `discarded_mass` and `steps` count both factors.
+    """
     h = qh.hbar.hbar
     up = unitary_propagator(qh, t, J, tol=tol, trunc_radius=trunc_radius)
-    um = unitary_propagator(qh, -t, J, tol=tol, trunc_radius=trunc_radius)
-    radius = max(up.element.support_radius(), um.element.support_radius())
-    cap = 2 * radius + f.support_radius() + 2
-    out = deformed_mul(deformed_mul(up.element, f, h, J, cap=cap), um.element, h, J, cap=cap)
+    cap = 2 * up.element.support_radius() + f.support_radius() + 2
+    left = deformed_mul(up.element, f, h, J, cap=cap)
+    out = deformed_mul(left, up.element.star(), h, J, cap=cap)
     return EvolutionResult(
-        element=out,
-        discarded_mass=up.discarded_mass + um.discarded_mass,
-        steps=up.steps + um.steps,
+        element=out, discarded_mass=2.0 * up.discarded_mass, steps=2 * up.steps
     )
 
 

@@ -210,7 +210,8 @@ def test_criterion_7_quantum_suite(J):
     one_step = conjugation_evolve(f, qh, 2 * ts, J).element
     flow_prop = (two_step - one_step).l1()
 
-    # ODE at step 2.5e-4 (converged) vs the series conjugation; radius 64
+    # exp(t L_hbar) f by the Chebyshev series, exact to roundoff with no
+    # time step (`steps` is ignored), vs the series conjugation; radius 64
     # clears the ballistic spread 8 pi^2 t ~ 40 with an Airy-decay margin
     ode = heisenberg_evolve(f, qh, t, J, steps=2000, trunc_radius=64)
     conj = conjugation_evolve(f, qh, t, J, trunc_radius=64)

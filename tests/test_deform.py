@@ -16,6 +16,7 @@ from nctorus import (
     poisson_bracket,
     scaled_commutator_residual,
 )
+from nctorus.deform import _table_range
 from nctorus.errors import TruncationOverflowError
 from nctorus.harness import fit_order
 
@@ -197,6 +198,68 @@ class TestDeformedMulKeys:
         for mul in (deformed_mul, reference_deformed_mul):
             with pytest.raises(TruncationOverflowError, match="radius 70 exceeds cap 64"):
                 mul(f, e((30, 0)), 0.1, J, cap=64)
+
+    def test_integral_flag(self):
+        J4 = SymplecticStructure.standard(4)
+        assert J4._integral
+        assert not SymplecticStructure(0.5 * J4.J)._integral
+        assert not skew(2)._integral
+
+    @staticmethod
+    def check_phase_path(f, g, hbar, J, table):
+        """Bit-identical to the reference, on the phase table or on the per-pair exp."""
+        pairing = (f.modes @ J.J) @ g.modes.T
+        assert (_table_range(pairing, J) is not None) == table
+        assert_same_bits(
+            deformed_mul(f, g, hbar, J, cap=2**62), reference_deformed_mul(f, g, hbar, J, cap=2**62)
+        )
+
+    @pytest.mark.parametrize("hbar", [0.1, -0.37, 0.0])
+    def test_phase_table_on_dense_box(self, J, hbar):
+        rng = np.random.default_rng(7)
+        f, g = (random_element(rng, radius=8, n_terms=150) for _ in range(2))
+        self.check_phase_path(f, g, hbar, J, table=True)
+
+    def test_phase_table_in_d4(self):
+        rng = np.random.default_rng(4)
+        f, g = (
+            FourierElement(4, zip(map(tuple, rng.integers(-3, 4, (60, 4)).tolist()),
+                                  rng.standard_normal(60) + 1j * rng.standard_normal(60)))
+            for _ in range(2)
+        )
+        self.check_phase_path(f, g, 0.0125, SymplecticStructure.standard(4), table=True)
+
+    def test_non_integral_j_takes_per_pair_exp(self):
+        rng = np.random.default_rng(7)
+        f, g = (random_element(rng, radius=8, n_terms=150) for _ in range(2))
+        self.check_phase_path(f, g, 0.1, skew(2), table=False)
+
+    def test_pairings_beyond_2_53_take_per_pair_exp(self, J):
+        rng = np.random.default_rng(5)
+        f, g = (random_element(rng, radius=2**40, n_terms=5) for _ in range(2))
+        assert np.abs((f.modes @ J.J) @ g.modes.T).max() >= 2**53
+        self.check_phase_path(f, g, 0.1, J, table=False)
+        # pairings 2^53 and 2^53 + 2 on 4 pairs: a float table of that
+        # range cannot hold 2^53 + 1, so it would be wrong
+        f = e((1, 0)) + e((1, 1))
+        g = e((0, 2**53)) + 1j * e((0, 2**53 + 2))
+        self.check_phase_path(f, g, 0.1, J, table=False)
+
+    def test_range_wider_than_pairs_takes_per_pair_exp(self, J):
+        # pairings -1, 0, 0 and 1000: 1002 integers for 4 pairs
+        f = e((0, 1)) + 0.5 * e((1000, 0))
+        g = e((0, 1)) - 2j * e((1, 0))
+        self.check_phase_path(f, g, 0.1, J, table=False)
+
+    @given(pair=element_pairs(dims=(2, 4)), hbar=st.sampled_from([0.0, 0.1, -0.37, 0.0125]))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_reference_for_standard_j(self, pair, hbar):
+        # signed zeros in the coefficients meet the table's +0.0 at pairing -0.0
+        f, g = pair
+        J = SymplecticStructure.standard(f.dim)
+        assert_same_bits(
+            deformed_mul(f, g, hbar, J, cap=128), reference_deformed_mul(f, g, hbar, J, cap=128)
+        )
 
     def test_zero_factors(self, J):
         f = 2.0 * e((1, 2)) + e((-3, 0))

@@ -1,6 +1,7 @@
 import json
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -441,6 +442,49 @@ class TestCli:
             main(argv)
         assert exc.value.code == 2
         assert "not a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evolve-quantum", "--f", json.dumps(OBS), "--hamiltonian", json.dumps(SHEAR),
+             "--hbar", "0.1", "--t", "0.1", "--trunc-radius", "-3"],
+            ["evolve-classical", "--f", json.dumps(OBS), "--hamiltonian", json.dumps(SHEAR),
+             "--t", "0.1", "--trunc-radius", "0"],
+            ["evolve-classical", "--f", json.dumps(OBS), "--hamiltonian", json.dumps(SHEAR),
+             "--t", "0.1", "--grid", "0"],
+            ["norm", "--f", json.dumps(OBS), "--hbar", "0.1", "--window", "0"],
+            ["norm", "--f", json.dumps(OBS), "--hbar", "0.1", "--window", "2.5"],
+        ],
+        ids=["evolve-quantum-radius", "evolve-classical-radius", "evolve-classical-grid",
+             "norm-window-zero", "norm-window-float"],
+    )
+    def test_integer_option_below_one_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "integer" in capsys.readouterr().err
+
+    def test_norm_window_inside_support_exits_2(self, capsys):
+        code = main(["norm", "--f", "[[[3,0],1,0]]", "--hbar", "0.1", "--window", "3"])
+        assert code == 2
+        assert "window 3 too small for support radius 3" in capsys.readouterr().err
+        assert main(["norm", "--f", "[[[3,0],1,0]]", "--hbar", "0.1", "--window", "4"]) == 0
+
+    def test_runaway_evolve_quantum_exits_2(self, capsys):
+        start = time.perf_counter()
+        code = main(["evolve-quantum", "--f", json.dumps(OBS), "--hamiltonian", json.dumps(SHEAR),
+                     "--hbar", "0.1", "--t", "1e6"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert "series of length" in capsys.readouterr().err
+
+    def test_runaway_scan_exits_2(self, tmp_path, capsys):
+        cfg = {"H": SHEAR, "f": OBS, "J": J_STD, "hbar_grid": [0.1], "t_grid": [1e6],
+               "output_dir": str(tmp_path)}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["scan", str(path)]) == 2
+        assert "series of length" in capsys.readouterr().err
 
     def test_bad_element_literal(self, capsys):
         with pytest.raises(SystemExit):

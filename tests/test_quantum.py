@@ -15,9 +15,12 @@ from nctorus import (
     isometry_defect,
     unitary_propagator,
 )
-from nctorus.errors import RealityError, TruncationOverflowError
+import nctorus.deform as deform
+import nctorus.quantum as quantum
+from nctorus.errors import ConfigError, RealityError, TruncationOverflowError
 from nctorus.deform import (
     CHEBYSHEV_TAIL,
+    MAX_SERIES_Z,
     _chebyshev_propagate,
     _evolution_generator,
     _evolution_system,
@@ -148,6 +151,30 @@ class TestConjugationEvolve:
         qh = QuantumHamiltonian(shear_hamiltonian, 0.2)
         res = conjugation_evolve(shear_hamiltonian, qh, 0.1, J)
         assert (res.element - shear_hamiltonian).l1() < 1e-8
+
+    def test_right_factor_is_the_adjoint(self, J, monkeypatch):
+        # one propagator: the right factor is u_t^*, and its truncation
+        # and substeps are counted once more
+        qh = QuantumHamiltonian(generic_hamiltonian(), 0.1)
+        t = 0.2
+        calls = []
+
+        def spy(f, g, *args, **kwargs):
+            calls.append(g)
+            return deformed_mul(f, g, *args, **kwargs)
+
+        monkeypatch.setattr(quantum, "deformed_mul", spy)
+        res = conjugation_evolve(e((0, 1)), qh, t, J, trunc_radius=24)
+        monkeypatch.undo()
+        up = unitary_propagator(qh, t, J, trunc_radius=24)
+        right = calls[-1]
+        assert up.steps >= 2
+        assert np.array_equal(right.modes, up.element.star().modes)
+        assert right.coeffs.tobytes() == up.element.star().coeffs.tobytes()
+        assert res.discarded_mass == 2.0 * up.discarded_mass
+        assert res.steps == 2 * up.steps
+        # the series for -t gives the same factor to roundoff
+        assert (unitary_propagator(qh, -t, J, trunc_radius=24).element - right).l1() < 1e-12
 
 
 class TestHeisenbergEvolve:
@@ -302,6 +329,24 @@ class TestChebyshevEvolve:
         assert tail_bound > 0.0
         error = abs(res.discarded_mass - shell - tail_bound)
         assert error <= 2 * np.spacing(res.discarded_mass) < tail_bound
+
+    @pytest.mark.parametrize("hbar", [0.1, 0.0])
+    def test_runaway_time_is_refused_before_the_mode_set(self, J, shear_hamiltonian, monkeypatch, hbar):
+        def unreachable(*args):
+            raise AssertionError("mode set built for a refused series")
+
+        monkeypatch.setattr(deform, "_evolution_system", unreachable)
+        with pytest.raises(ConfigError, match="series of length"):
+            evolve(e((0, 1)), shear_hamiltonian, hbar, 1e6, J)
+
+    def test_series_length_limit(self, J):
+        # f = 1 is fixed, so its own column gives no floor: the check on ||L||_1 refuses
+        H = generic_hamiltonian()
+        _, L, v, _ = _evolution_system(unit(), H, 0.1, J, 4)
+        rho = abs(L).sum(axis=0).max()
+        _chebyshev_propagate(L, v, MAX_SERIES_Z / rho)
+        with pytest.raises(ConfigError, match="series of length"):
+            evolve(unit(), H, 0.1, 1.01 * MAX_SERIES_Z / rho, J, trunc_radius=4)
 
     def test_zero_observable_and_reality(self, J):
         res = evolve(FourierElement.zero(2), generic_hamiltonian(), 0.1, 0.2, J)
