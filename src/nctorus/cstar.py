@@ -5,11 +5,19 @@ coefficients; the headline estimate is the largest singular value of
 the left-multiplication operator compressed to a finite mode window,
 which is a certified lower bound (compressions reduce norms) and is
 nondecreasing in the window size.
+
+That operator L has two kernels.  `build_left_multiplication` forms it
+as a sparse matrix of nnz(L) entries; `fft_left_multiplication` applies
+it without forming it, as one convolution along a lattice axis per row
+of supp f, by FFT.  `op_norm_estimate` takes the FFT kernel when its
+operation count (rows + 1) N log2 N (2W+1)^(d-1) is below nnz(L)
+(`fft_plan`), and the sparse matrix otherwise.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,6 +110,108 @@ def build_left_multiplication(f, hbar, J, window):
     )
 
 
+def fft_length(f, window, axis):
+    """The FFT length of the kernel along `axis`: the least 5-smooth N >= 2W+1 + max |p_a|."""
+    n = 2 * window + 1 + int(np.abs(f.modes[:, axis]).max(initial=0))
+    while True:
+        m = n
+        for prime in (2, 3, 5):
+            while m % prime == 0:
+                m //= prime
+        if m == 1:
+            return n
+        n += 1
+
+
+def fft_plan(f, window):
+    """`(axis, n_fft)` of `fft_left_multiplication` when it is the cheaper kernel, else None.
+
+    Along axis a the FFT kernel runs rows + 1 transforms of length N =
+    `fft_length` on each of the (2W+1)^(d-1) lines of the window along
+    a: one forward transform of x and one inverse per row, rows being
+    the number of distinct p' (the modes of f with axis a left out).
+    The count (rows + 1) N log2 N (2W+1)^(d-1) is taken on the axis
+    that minimises it and compared with nnz(L), which is exact: mode p
+    has prod_a (2W+1 - |p_a|)^+ entries, one per window mode q with
+    q + p inside the window.
+    """
+    side = 2 * window + 1
+    nnz = int(np.prod(np.clip(side - np.abs(f.modes), 0, None), axis=1).sum())
+    best = None
+    for a in range(f.dim):
+        rows = np.unique(np.delete(f.modes, a, axis=1), axis=0).shape[0]
+        n_fft = fft_length(f, window, a)
+        count = (rows + 1) * n_fft * math.log2(n_fft) * side ** (f.dim - 1)
+        if best is None or count < best[0]:
+            best = (count, a, n_fft)
+    count, axis, n_fft = best
+    return (axis, n_fft) if count < nnz else None
+
+
+def fft_left_multiplication(f, hbar, J, window, axis, n_fft):
+    """The map x -> P(f x_h x)P of `build_left_multiplication`, applied by FFT along `axis`.
+
+    Returns a function of the coefficient vector x, indexed like the
+    columns of `build_left_multiplication`, that computes L x without
+    forming L.  As J is skew, the cocycle of the entry at (r, r - p) is
+    e(-hbar (pJ).r); split the modes as p = (p_a, p') at the axis a and
+    the window modes as r = (r_a, r').  Then (pJ)_a depends on p' only,
+    and
+
+        (Lx)[r] = sum_p' e(-hbar (pJ)_a r_a)
+                  sum_p_a c_p e(-hbar (pJ)'.r') x[r_a - p_a, r' - p'],
+
+    x being zero outside the window.  For each row p' the inner sum is
+    a convolution along axis a, with a kernel that depends on r'.  Its
+    symbol sum_p_a c_p e(-hbar (pJ)'.r') e(-p_a xi / N) is tabulated
+    once here, by one FFT, and zeroed where r' - p' leaves the window.
+    A call takes one forward FFT of x, zero-padded to length N =
+    `n_fft` along the axis; per row it gathers the lines r' - p',
+    multiplies them by the symbol and inverse transforms.  It then
+    crops to the window, applies the modulation e(-hbar (pJ)_a r_a) and
+    sums over the rows.  With N >= 2W+1 + max |p_a| the wrap-around of
+    the circular convolution lands outside the window.  L* is this
+    kernel for `f.star()`, since the left-regular representation is a
+    *-representation.
+    """
+    if f.dim != J.dim:
+        raise ValueError("element/structure dimension mismatch")
+    h = _as_hbar(hbar)
+    d = f.dim
+    side = 2 * window + 1
+    others = [b for b in range(d) if b != axis]
+    # window modes r' of the other axes, lexicographic: (side^(d-1), d-1)
+    grid = np.indices((side,) * (d - 1)).reshape(d - 1, side ** (d - 1)).T - window
+    rows, row_of = np.unique(f.modes[:, others], axis=0, return_inverse=True)
+    row_of = row_of.reshape(-1)
+    pJ = f.modes @ J.J
+    table = np.zeros((rows.shape[0], grid.shape[0], n_fft), dtype=np.complex128)
+    np.add.at(
+        table,
+        (row_of, slice(None), f.modes[:, axis] % n_fft),
+        f.coeffs[:, None] * np.exp((-2j * np.pi * h) * (pJ[:, others] @ grid.T)),
+    )
+    source = grid - rows[:, None, :]  # r' - p', (rows, side^(d-1), d-1)
+    inside = (np.abs(source) <= window).all(axis=2)
+    symbol = np.fft.fft(table, axis=2) * inside[:, :, None]
+    strides = side ** np.arange(d - 2, -1, -1, dtype=np.int64)
+    lines = np.where(inside, (source + window) @ strides, 0)
+    v = np.zeros(rows.shape[0])
+    v[row_of] = pJ[:, axis]
+    modulation = np.exp((-2j * np.pi * h) * np.outer(v, np.arange(-window, window + 1)))
+    shape = (side,) * d
+
+    def apply(x):
+        X = np.moveaxis(x.reshape(shape), axis, -1).reshape(-1, side)
+        G = np.fft.fft(X, n=n_fft, axis=1)[lines]
+        G *= symbol
+        Z = np.fft.ifft(G, axis=2)[:, :, :side]
+        Y = np.einsum("rjs,rs->js", Z, modulation)
+        return np.moveaxis(Y.reshape(shape), -1, axis).reshape(-1)
+
+    return apply
+
+
 def op_norm_estimate(f, hbar, J, window=None, tol=1e-8, max_iter=None):
     """Estimate the deformed C*-norm of `f` with sandwich certificates.
 
@@ -110,6 +220,13 @@ def op_norm_estimate(f, hbar, J, window=None, tol=1e-8, max_iter=None):
     value is a lower bound on ||L||^2 at every step, also in floating point
     (Paige, Linear Algebra Appl. 34, 1980).  Non-convergence within the
     step cap is reported through `residual`, not raised.
+
+    Each step applies L and then L*.  When `fft_plan` finds that the
+    FFT kernel counts fewer operations, (rows + 1) N log2 N (2W+1)^(d-1),
+    than L has entries, both are `fft_left_multiplication`, L* being
+    the kernel of `f.star()`; otherwise L is formed by
+    `build_left_multiplication` and L* applied through its transpose.
+    The two kernels agree to rounding, and the recurrence is the same.
 
     Parameters
     ----------
@@ -136,9 +253,22 @@ def op_norm_estimate(f, hbar, J, window=None, tol=1e-8, max_iter=None):
         )
     if max_iter is None:
         max_iter = 10 * window**2
-    L = build_left_multiplication(f, hbar, J, window)
-    Lt = L.T  # a view; L* w is conj(L^T conj(w))
-    n = L.shape[0]
+    plan = fft_plan(f, window)
+    if plan is None:
+        L = build_left_multiplication(f, hbar, J, window)
+        Lt = L.T  # a view; L* w is conj(L^T conj(w))
+
+        def normal(q):
+            return np.conj(Lt @ np.conj(L @ q))
+
+    else:
+        apply_L = fft_left_multiplication(f, hbar, J, window, *plan)
+        apply_Lstar = fft_left_multiplication(f.star(), hbar, J, window, *plan)
+
+        def normal(q):
+            return apply_Lstar(apply_L(q))
+
+    n = (2 * window + 1) ** f.dim
     steps = min(n, max_iter)
 
     # dense and free of lattice symmetry, so no symmetry sector of L*L is left out
@@ -148,7 +278,7 @@ def op_norm_estimate(f, hbar, J, window=None, tol=1e-8, max_iter=None):
     alpha, beta = [], []
     mu, residual, b, check = 0.0, np.inf, 0.0, 1
     for m in range(1, steps + 1):
-        w = np.conj(Lt @ np.conj(L @ q))
+        w = normal(q)
         a = float(np.real(np.vdot(q, w)))
         w -= a * q + b * q_prev
         b = float(np.linalg.norm(w))

@@ -349,6 +349,18 @@ def _column_l1(H, hbar, J, modes):
     return np.abs(H.coeffs) @ w
 
 
+def check_evolution_time(f, H, hbar, t, J):
+    """Raise `ConfigError` when `evolve(f, H, hbar, t, J)` would need a series past `MAX_SERIES_Z`.
+
+    The test is |t| times the largest column l1 norm of the generator
+    over supp f, a lower bound on the series argument of every mode
+    set that `evolve` builds, so it needs no mode set.  A scan checks
+    its largest t with it before computing any record.
+    """
+    if f.n_modes:
+        _check_series_length(abs(t) * _column_l1(H, _as_hbar(hbar), J, f.modes).max())
+
+
 def bessel_j(z):
     """J_0(z), ..., J_M(z) for z > 0 by Miller's backward recurrence.
 
@@ -421,7 +433,7 @@ def evolve(f, H, hbar, t, J, trunc_radius=32):
         return EvolutionResult(element=f, discarded_mass=0.0, steps=0)
     h = _as_hbar(hbar)
     # refuse a runaway t before the mode set, which grows with the radius, is built
-    _check_series_length(abs(t) * _column_l1(H, h, J, f.modes).max())
+    check_evolution_time(f, H, h, t, J)
     modes, L, v, outside = _evolution_system(f, H, h, J, trunc_radius)
     v, terms, tail = _chebyshev_propagate(L, v, t)
     discarded = float(np.abs(v[outside]).sum()) + math.sqrt(v.size) * tail * f.l2()

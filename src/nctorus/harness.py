@@ -26,6 +26,7 @@ from .cstar import NormEstimate, op_norm_estimate
 from .deform import (
     PlanckParam,
     SymplecticStructure,
+    check_evolution_time,
     evolve,
     one_sided_residual,
     scaled_commutator_residual,
@@ -334,10 +335,15 @@ def scan(config, write=True):
     """Run the full (hbar, t) grid and assemble the verdict.
 
     The classical evolution at each t is computed once and shared
-    across hbar values.  Returns a `ScanResult`; with `write=True` the
-    CSV, JSON summary and gnuplot-ready err-vs-hbar columns are written
-    to the configured output directory.
+    across hbar values.  A largest t whose series would pass
+    `MAX_SERIES_Z` raises `ConfigError` before any record is computed.
+    Returns a `ScanResult`; with `write=True` the CSV, JSON summary and
+    gnuplot-ready err-vs-hbar columns are written to the configured
+    output directory.
     """
+    # the hbar = 0 column norms bound those of every hbar, as
+    # |sin(2 pi hbar k)| / |hbar| <= 2 pi |k|, so one check covers both sides
+    check_evolution_time(config.observable, config.hamiltonian, 0.0, max(config.t_grid), config.J)
     records = []
     cache = {}
     for t in sorted(config.t_grid):

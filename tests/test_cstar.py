@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import nctorus.cstar as cstar
+import nctorus.harness as harness
 from nctorus import (
     FourierElement,
     SymplecticStructure,
@@ -11,6 +13,8 @@ from nctorus import (
     deformed_mul,
     op_norm_estimate,
 )
+from nctorus.cstar import fft_left_multiplication, fft_length, fft_plan
+from nctorus.harness import ExperimentConfig, scan
 
 from conftest import coefficients, elements, random_element
 
@@ -54,6 +58,12 @@ def reference_left_multiplication(f, hbar, J, window):
     )
 
 
+def phase_scale(f, hbar, J, window):
+    """max(1, largest phase argument 2 pi |hbar| sum_a |(pJ)_a q_a|) over the window."""
+    arg = 2 * np.pi * abs(hbar) * np.abs(f.modes @ J.J).sum(axis=1).max(initial=0.0) * window
+    return max(1.0, arg)
+
+
 def assert_matches_reference(f, hbar, J, window):
     L = build_left_multiplication(f, hbar, J, window)
     assert L.format == "csc" and L.has_sorted_indices
@@ -64,9 +74,70 @@ def assert_matches_reference(f, hbar, J, window):
     assert np.array_equal(new.indices, ref.indices)
     # both evaluate phases of arguments up to 2 pi |hbar| sum_a |(pJ)_a q_a|,
     # each to a rounding error proportional to the argument
-    arg = 2 * np.pi * abs(hbar) * np.abs(f.modes @ J.J).sum(axis=1).max(initial=0.0) * window
-    scale = np.abs(f.coeffs).max(initial=0.0) * max(1.0, arg)
+    scale = np.abs(f.coeffs).max(initial=0.0) * phase_scale(f, hbar, J, window)
     assert np.abs(new.data - ref.data).max(initial=0.0) <= 1e-15 * scale
+
+
+def assert_fft_matches_sparse(f, hbar, J, window):
+    """The FFT kernel on every axis, and on f* for L*, against `build_left_multiplication`."""
+    L = build_left_multiplication(f, hbar, J, window)
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal(L.shape[0]) + 1j * rng.standard_normal(L.shape[0])
+    # the phase-scaled bound of `assert_matches_reference`, summed over
+    # the modes (l1), times 10 for the FFT's log2 N growth of rounding
+    tol = 1e-14 * f.l1() * np.abs(x).max() * phase_scale(f, hbar, J, window)
+    for axis in range(f.dim):
+        n_fft = fft_length(f, window, axis)
+        y = fft_left_multiplication(f, hbar, J, window, axis, n_fft)(x)
+        y_star = fft_left_multiplication(f.star(), hbar, J, window, axis, n_fft)(x)
+        assert np.abs(y - L @ x).max() <= tol
+        assert np.abs(y_star - L.conj().T @ x).max() <= tol
+
+
+#: Skew structures per dimension: integral, non-integral and degenerate.
+STRUCTURES = {
+    2: [[[0, 1], [-1, 0]], [[0, 0.37], [-0.37, 0]], np.zeros((2, 2))],
+    3: [[[0, 1, -2], [-1, 0, 1], [2, -1, 0]], [[0, 1.3, 0.5], [-1.3, 0, -0.71], [-0.5, 0.71, 0]],
+        np.zeros((3, 3))],
+    4: [SymplecticStructure.standard(4).J,
+        [[0, 1.3, 0, 0.2], [-1.3, 0, 0.7, 0], [0, -0.7, 0, 2.1], [-0.2, 0, -2.1, 0]],
+        np.zeros((4, 4))],
+}
+
+
+@st.composite
+def kernel_cases(draw):
+    """(f, J, window) in d = 2, 3, 4, with W from support radius + 1 to + 3."""
+    d = draw(st.sampled_from([2, 3, 4]))
+    radius = {2: 3, 3: 2, 4: 1}[d]
+    modes = st.tuples(*[st.integers(-radius, radius)] * d)
+    f = FourierElement(d, draw(st.dictionaries(modes, coefficients(), min_size=1, max_size=6)))
+    assume(f.n_modes > 0)
+    J = SymplecticStructure(draw(st.sampled_from(STRUCTURES[d])))
+    return f, J, f.support_radius() + draw(st.integers(1, 3))
+
+
+def sparse_estimate(monkeypatch, f, hbar, J, **kwargs):
+    """`op_norm_estimate` with the sparse kernel forced."""
+    with monkeypatch.context() as m:
+        m.setattr(cstar, "fft_plan", lambda f, window: None)
+        return op_norm_estimate(f, hbar, J, **kwargs)
+
+
+def assert_same_estimate(a, b):
+    assert a.op_lower == pytest.approx(b.op_lower, rel=1e-12)
+    assert a.iterations == b.iterations
+
+
+def smooth_symbol(seed):
+    """Acceptance criterion 8's degree-4 truncation of a smooth symbol."""
+    rng = np.random.default_rng(seed)
+    d = {}
+    for p1 in range(-4, 5):
+        for p2 in range(-4, 5):
+            amp = 2.0 ** (-max(abs(p1), abs(p2)))
+            d[(p1, p2)] = amp * (rng.standard_normal() + 1j * rng.standard_normal())
+    return FourierElement(2, d)
 
 
 def elements4(radius=2, max_terms=4):
@@ -238,14 +309,84 @@ class TestSeparableKernel:
 
     @pytest.mark.parametrize("hbar, expected", [(0.0, 4.990584127755881), (0.1, 4.089639445274353)])
     def test_estimate_unchanged_on_smooth_symbol(self, J, hbar, expected):
-        rng = np.random.default_rng(1)
-        d = {}
-        for p1 in range(-4, 5):
-            for p2 in range(-4, 5):
-                amp = 2.0 ** (-max(abs(p1), abs(p2)))
-                d[(p1, p2)] = amp * (rng.standard_normal() + 1j * rng.standard_normal())
-        est = op_norm_estimate(FourierElement(2, d), hbar, J, window=32)
+        est = op_norm_estimate(smooth_symbol(1), hbar, J, window=32)
         assert est.op_lower == pytest.approx(expected, rel=1e-12)
+
+
+class TestFFTKernel:
+    """`fft_left_multiplication` and its adjoint against `build_left_multiplication`."""
+
+    @given(case=kernel_cases(), hbar=st.sampled_from([0.0, 0.1, 0.37, -0.3]))
+    @settings(max_examples=20, deadline=None)
+    def test_matches_sparse(self, case, hbar):
+        f, J, window = case
+        assert_fft_matches_sparse(f, hbar, J, window)
+
+    @pytest.mark.parametrize("hbar", [0.0, 0.1, 0.37, -0.3])
+    @pytest.mark.parametrize("margin", [1, 3])
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            {(2, -1): 1.5 - 0.5j},  # one mode
+            {(k, 1): 2.0 ** -abs(k) * (1 + 1j * k) for k in range(-3, 4)},  # one row along axis 0
+            {(1, 0, -1, 1): 0.7j},  # one mode in d = 4
+            {(0, k, 1, -1): 1.0 + k for k in range(-1, 2)},  # one row along axis 1 in d = 4
+        ],
+        ids=["mode", "row", "mode-d4", "row-d4"],
+    )
+    def test_single_mode_and_single_row(self, terms, margin, hbar):
+        d = len(next(iter(terms)))
+        f = FourierElement(d, terms)
+        J = SymplecticStructure(STRUCTURES[d][1])
+        assert_fft_matches_sparse(f, hbar, J, f.support_radius() + margin)
+
+
+class TestKernelChoice:
+    """`op_norm_estimate` picks its kernel by operation count; both give one estimate."""
+
+    def test_shear_difference_takes_fft(self):
+        # the support of a scan-shear difference: one row p' = 1 along axis 0
+        f = FourierElement(2, {(k, 1): 2.0 ** -abs(k) for k in range(-31, 32)})
+        assert fft_plan(f, 32) == (0, 96)
+        assert fft_plan(f.star(), 32) == (0, 96)
+
+    def test_criterion_8_elements_take_sparse(self):
+        rng = np.random.default_rng(400)
+        assert all(fft_plan(random_element(rng, radius=3, n_terms=4), 8) is None for _ in range(500))
+
+    # seed 1 is pinned to the sparse path's op_lower by
+    # TestSeparableKernel.test_estimate_unchanged_on_smooth_symbol
+    @pytest.mark.parametrize("seed", [2, 3])
+    def test_paths_agree_on_smooth_symbols(self, J, seed, monkeypatch):
+        f = smooth_symbol(seed)
+        assert fft_plan(f, 32) is not None
+        fft = op_norm_estimate(f, 0.0, J, window=32)
+        assert_same_estimate(fft, sparse_estimate(monkeypatch, f, 0.0, J, window=32))
+
+    @pytest.mark.acceptance
+    def test_paths_agree_on_acceptance_records(self, monkeypatch):
+        calls = []
+
+        def capture(f, hbar, J, **kwargs):
+            est = op_norm_estimate(f, hbar, J, **kwargs)
+            calls.append((f, hbar, J, kwargs, est))
+            return est
+
+        monkeypatch.setattr(harness, "op_norm_estimate", capture)
+        config = ExperimentConfig(
+            hamiltonian=e((1, 0)) + e((-1, 0)),
+            observable=e((0, 1)),
+            J=SymplecticStructure.standard(),
+            hbar_grid=(0.1, 0.05, 0.025, 0.0125),
+            t_grid=(0.25, 0.5, 1.0),
+            trunc_radius=32,
+            norm_window=32,
+        )
+        scan(config, write=False)
+        assert len(calls) == 12
+        for f, hbar, J, kwargs, est in calls:
+            assert fft_plan(f, kwargs["window"]) is not None
+            assert_same_estimate(est, sparse_estimate(monkeypatch, f, hbar, J, **kwargs))
 
 
 class TestConvergenceReporting:

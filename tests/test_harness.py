@@ -46,6 +46,10 @@ def small_config(**overrides):
     return ExperimentConfig(**kwargs)
 
 
+def no_record(*args, **kwargs):
+    raise AssertionError("a scan record was computed")
+
+
 class TestFitOrder:
     def test_synthetic_slopes(self):
         hs = [0.1, 0.05, 0.025, 0.0125]
@@ -313,6 +317,11 @@ class TestScan:
         assert result.csv_text.splitlines()[0] == harness.CSV_HEADER
         assert "quantum_s" not in result.csv_text and "terms" not in result.csv_text
 
+    def test_runaway_time_is_refused_before_any_record(self, monkeypatch):
+        monkeypatch.setattr(harness, "egorov_error", no_record)
+        with pytest.raises(ConfigError, match="series of length"):
+            scan(small_config(t_grid=(1e6, 0.05)), write=False)
+
     def test_env_var_redirects_output(self, tmp_path, monkeypatch):
         monkeypatch.setenv("NCTORUS_OUTPUT_DIR", str(tmp_path / "redirected"))
         cfg = small_config(output_dir=str(tmp_path / "ignored"))
@@ -481,6 +490,15 @@ class TestCli:
     def test_runaway_scan_exits_2(self, tmp_path, capsys):
         cfg = {"H": SHEAR, "f": OBS, "J": J_STD, "hbar_grid": [0.1], "t_grid": [1e6],
                "output_dir": str(tmp_path)}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["scan", str(path)]) == 2
+        assert "series of length" in capsys.readouterr().err
+
+    def test_runaway_scan_exits_2_before_any_record(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(harness, "egorov_error", no_record)
+        cfg = {"H": SHEAR, "f": OBS, "J": J_STD, "hbar_grid": [0.1, 0.05, 0.025],
+               "t_grid": [0.25, 1e6], "output_dir": str(tmp_path)}
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         assert main(["scan", str(path)]) == 2
