@@ -148,6 +148,55 @@ def fft_plan(f, window):
     return (axis, n_fft) if count < nnz else None
 
 
+class _LineKernel:
+    """The FFT kernel of `fft_left_multiplication` on its own layout, with its buffers.
+
+    Vectors are laid out as `(lines, 2W+1)`: one row per line of the
+    window along the kernel's axis, the lines in lexicographic order of
+    the other axes.  `window` is the window part of a zero-padded input
+    of length N per line, whose padding is never written, so a caller
+    fills `window` and calls `apply_into`.  Every buffer is made once
+    here; a kernel is not reentrant.
+    """
+
+    def __init__(self, symbol, lines, modulation, shape, axis):
+        n_rows, n_lines, n_fft = symbol.shape
+        self.symbol = symbol  # the rows' symbols, 1/N folded in
+        self.lines = lines
+        self.modulation = modulation
+        self.shape = shape
+        self.axis = axis
+        side = shape[axis]
+        self.padded = np.zeros((n_lines, n_fft), dtype=np.complex128)
+        self.window = self.padded[:, :side]
+        self.spectrum = np.empty((n_lines, n_fft), dtype=np.complex128)
+        self.gathered = np.empty((n_rows, n_lines, n_fft), dtype=np.complex128)
+        self.cropped = self.gathered[:, :, :side]
+
+    def to_lines(self, x):
+        """x in the standard (lexicographic) order, as a flat vector in the kernel's layout."""
+        return np.moveaxis(x.reshape(self.shape), self.axis, -1).reshape(-1)
+
+    def apply_into(self, out):
+        """L of the vector in `window`, written to the `(lines, 2W+1)` array `out`."""
+        np.fft.fft(self.padded, axis=1, out=self.spectrum)
+        # the lines are valid indices; mode="raise" would buffer `out`
+        np.take(self.spectrum, self.lines, axis=0, out=self.gathered, mode="clip")
+        self.gathered *= self.symbol
+        np.fft.ifft(self.gathered, axis=2, norm="forward", out=self.gathered)
+        if self.gathered.shape[0] == 1:  # every scan difference; a product costs half an einsum
+            np.multiply(self.cropped[0], self.modulation[0], out=out)
+        else:
+            np.einsum("rjs,rs->js", self.cropped, self.modulation, out=out)
+
+    def __call__(self, x):
+        np.copyto(self.window, self.to_lines(x).reshape(self.window.shape))
+        out = np.empty(self.window.shape, dtype=np.complex128)
+        self.apply_into(out)
+        # the window is a cube, so the kernel's layout has the standard shape
+        return np.moveaxis(out.reshape(self.shape), -1, self.axis).reshape(-1)
+
+
 def fft_left_multiplication(f, hbar, J, window, axis, n_fft):
     """The map x -> P(f x_h x)P of `build_left_multiplication`, applied by FFT along `axis`.
 
@@ -163,16 +212,22 @@ def fft_left_multiplication(f, hbar, J, window, axis, n_fft):
 
     x being zero outside the window.  For each row p' the inner sum is
     a convolution along axis a, with a kernel that depends on r'.  Its
-    symbol sum_p_a c_p e(-hbar (pJ)'.r') e(-p_a xi / N) is tabulated
-    once here, by one FFT, and zeroed where r' - p' leaves the window.
-    A call takes one forward FFT of x, zero-padded to length N =
-    `n_fft` along the axis; per row it gathers the lines r' - p',
-    multiplies them by the symbol and inverse transforms.  It then
-    crops to the window, applies the modulation e(-hbar (pJ)_a r_a) and
-    sums over the rows.  With N >= 2W+1 + max |p_a| the wrap-around of
-    the circular convolution lands outside the window.  L* is this
-    kernel for `f.star()`, since the left-regular representation is a
+    symbol sum_p_a c_p e(-hbar (pJ)'.r') e(-p_a xi / N) / N is tabulated
+    once here, by one FFT, and zeroed where r' - p' leaves the window;
+    the 1/N of the inverse transform is folded into it.  A call takes
+    one forward FFT of x, zero-padded to length N = `n_fft` along the
+    axis; per row it gathers the lines r' - p', multiplies them by the
+    symbol and inverse transforms.  It then crops to the window,
+    applies the modulation e(-hbar (pJ)_a r_a) and sums over the rows.
+    With N >= 2W+1 + max |p_a| the wrap-around of the circular
+    convolution lands outside the window.  L* is this kernel for
+    `f.star()`, since the left-regular representation is a
     *-representation.
+
+    The function is a layout adapter: it permutes x to one line of the
+    window along the axis per row (`_LineKernel`), runs the kernel
+    there and permutes back.  `op_norm_estimate` runs the kernel's
+    `apply_into` on that layout directly.
     """
     if f.dim != J.dim:
         raise ValueError("element/structure dimension mismatch")
@@ -193,23 +248,13 @@ def fft_left_multiplication(f, hbar, J, window, axis, n_fft):
     )
     source = grid - rows[:, None, :]  # r' - p', (rows, side^(d-1), d-1)
     inside = (np.abs(source) <= window).all(axis=2)
-    symbol = np.fft.fft(table, axis=2) * inside[:, :, None]
+    symbol = np.fft.fft(table, axis=2, norm="forward") * inside[:, :, None]
     strides = side ** np.arange(d - 2, -1, -1, dtype=np.int64)
     lines = np.where(inside, (source + window) @ strides, 0)
     v = np.zeros(rows.shape[0])
     v[row_of] = pJ[:, axis]
     modulation = np.exp((-2j * np.pi * h) * np.outer(v, np.arange(-window, window + 1)))
-    shape = (side,) * d
-
-    def apply(x):
-        X = np.moveaxis(x.reshape(shape), axis, -1).reshape(-1, side)
-        G = np.fft.fft(X, n=n_fft, axis=1)[lines]
-        G *= symbol
-        Z = np.fft.ifft(G, axis=2)[:, :, :side]
-        Y = np.einsum("rjs,rs->js", Z, modulation)
-        return np.moveaxis(Y.reshape(shape), -1, axis).reshape(-1)
-
-    return apply
+    return _LineKernel(symbol, lines, modulation, (side,) * d, axis)
 
 
 def op_norm_estimate(f, hbar, J, window=None, tol=1e-8, max_iter=None):
@@ -224,9 +269,15 @@ def op_norm_estimate(f, hbar, J, window=None, tol=1e-8, max_iter=None):
     Each step applies L and then L*.  When `fft_plan` finds that the
     FFT kernel counts fewer operations, (rows + 1) N log2 N (2W+1)^(d-1),
     than L has entries, both are `fft_left_multiplication`, L* being
-    the kernel of `f.star()`; otherwise L is formed by
-    `build_left_multiplication` and L* applied through its transpose.
-    The two kernels agree to rounding, and the recurrence is the same.
+    the kernel of `f.star()`.  The recurrence then runs in the kernels'
+    own layout of one window line per row, the start vector permuted
+    once (alpha and beta do not depend on the order of the basis), and
+    L writes its output straight into the padded input of L*, so a
+    step allocates no array.  Otherwise L is formed by
+    `build_left_multiplication` and L* once, as its conjugate
+    transpose.  The two kernels agree to rounding, and the recurrence
+    is the same: it updates w in place, rotates two vector buffers and
+    keeps a running max(alpha).
 
     Parameters
     ----------
@@ -254,46 +305,59 @@ def op_norm_estimate(f, hbar, J, window=None, tol=1e-8, max_iter=None):
     if max_iter is None:
         max_iter = 10 * window**2
     plan = fft_plan(f, window)
+    n = (2 * window + 1) ** f.dim
+    # dense and free of lattice symmetry, so no symmetry sector of L*L is left out
+    k = np.arange(n, dtype=np.float64)
+    q = np.exp(2j * np.pi * np.sqrt(2.0) * k**2) / np.sqrt(n)
     if plan is None:
         L = build_left_multiplication(f, hbar, J, window)
-        Lt = L.T  # a view; L* w is conj(L^T conj(w))
+        Lstar = L.T.conj()  # CSR; the same sums as conj(L^T conj(w)), bit for bit
 
         def normal(q):
-            return np.conj(Lt @ np.conj(L @ q))
+            return Lstar @ (L @ q)
 
     else:
         apply_L = fft_left_multiplication(f, hbar, J, window, *plan)
         apply_Lstar = fft_left_multiplication(f.star(), hbar, J, window, *plan)
+        layout = apply_L.window.shape
+        w_lines = np.empty(layout, dtype=np.complex128)
 
         def normal(q):
-            return apply_Lstar(apply_L(q))
+            np.copyto(apply_L.window, q.reshape(layout))
+            apply_L.apply_into(apply_Lstar.window)
+            apply_Lstar.apply_into(w_lines)
+            return w_lines.reshape(-1)
 
-    n = (2 * window + 1) ** f.dim
+        q = apply_L.to_lines(q)  # alpha and beta do not depend on the basis order
+
     steps = min(n, max_iter)
-
-    # dense and free of lattice symmetry, so no symmetry sector of L*L is left out
-    k = np.arange(n, dtype=np.float64)
-    q = np.exp(2j * np.pi * np.sqrt(2.0) * k**2) / np.sqrt(n)
     q_prev = np.zeros(n, dtype=np.complex128)
+    scratch = np.empty(n, dtype=np.complex128)
     alpha, beta = [], []
-    mu, residual, b, check = 0.0, np.inf, 0.0, 1
+    a_max, mu, residual, b, check = -np.inf, 0.0, np.inf, 0.0, 1
     for m in range(1, steps + 1):
         w = normal(q)
         a = float(np.real(np.vdot(q, w)))
-        w -= a * q + b * q_prev
+        # w -= a q + b q_prev, in place; q_prev is dead after this step
+        np.multiply(q, a, out=scratch)
+        q_prev *= b
+        scratch += q_prev
+        w -= scratch
         b = float(np.linalg.norm(w))
         alpha.append(a)
         beta.append(b)
+        a_max = max(a_max, a)
         # b / max(alpha) bounds the Ritz estimate, so an invariant Krylov
         # space stops here; else the O(m^3) solve runs ~8 times per doubling
-        if m >= check or m == steps or b <= tol * max(alpha):
+        if m >= check or m == steps or b <= tol * a_max:
             theta, y = np.linalg.eigh(np.diag(alpha) + np.diag(beta[:-1], -1), UPLO="L")
             mu = float(theta[-1])
             residual = b * abs(float(y[-1, -1])) / max(mu, 1e-300)
             if residual <= tol:
                 break
             check = m + 1 + m // 8
-        q_prev, q = q, w / b
+        np.divide(w, b, out=q_prev)
+        q_prev, q = q, q_prev
     op_lower = float(np.sqrt(max(mu, 0.0)))
     return NormEstimate(
         lower_l2=l2_lower(f),

@@ -239,31 +239,78 @@ def _in_sorted(keys, sorted_keys):
     return sorted_keys[at] == keys
 
 
+def _distinct(keys):
+    """The distinct values of the 1-D array `keys`, ascending, and the index of one occurrence of each.
+
+    A sort and a comparison of neighbours; `np.unique` spends several
+    times longer on the same int64 keys.
+    """
+    order = np.argsort(keys)
+    ordered = keys[order]
+    head = np.ones(ordered.size, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
+    return ordered[head], order[head]
+
+
+def _chain_ranges(modes, shift, radius):
+    """The least and greatest k with |m + k shift|_inf <= radius, for each row m of `modes`.
+
+    The box is convex, so these k form one range, which holds 0 for a
+    mode inside the box.  Per axis with s = shift_a != 0 and u =
+    sign(s) m_a, the range is ceil((-radius - u) / |s|) <=
+    k <= floor((radius - u) / |s|); axes with s = 0 bound nothing.
+    """
+    moving = shift != 0
+    size = np.abs(shift[moving])
+    u = np.sign(shift[moving]) * modes[:, moving]
+    lo = -((radius + u) // size)
+    hi = (radius - u) // size
+    return lo.max(axis=1), hi.min(axis=1)
+
+
 def _reachable_modes(start, shifts, radius):
     """Modes reachable from `start` by adding rows of `shifts`, inside |m|_inf <= radius.
 
-    The shifts are closed under negation first, which makes reachability
-    symmetric: a breadth-first wave then meets old modes only in itself
-    and in the wave before it.  Waves run on `_mode_keys`, kept sorted so
-    membership is a binary search; the modes are returned as int64 rows
-    in lexicographic order.
+    `start` must lie inside the box.  Reachability is symmetric once the
+    shifts are closed under negation, so each pair +-s is kept once,
+    and the zero shift is dropped.  As the box is convex, the modes m +
+    k s inside it form one contiguous chain of k (`_chain_ranges`), so
+    closing a mode under +-s adds its whole chain at once.  Each round
+    expands, for every new mode and every shift, the chain through the
+    mode unless that chain, named by the key of its first point in the
+    box, was already expanded; it stops when a round adds no mode.  The
+    rounds count the changes of direction a path needs, not its length,
+    and the work and memory are O(modes x shifts): no array spans the
+    (2 radius + 1)^d box.  Modes are handled as `_mode_keys` and
+    returned as int64 rows in lexicographic order.
     """
     d = start.shape[1]
-    shifts = np.unique(np.concatenate([shifts, -shifts]), axis=0)
-    front_keys, first = np.unique(_mode_keys(start, radius), return_index=True)
-    front = start[first]
-    waves = [front_keys]
-    previous = front_keys[:0]
-    while front.shape[0]:
-        cand = (front[:, None, :] + shifts[None, :, :]).reshape(-1, d)
-        cand = cand[np.abs(cand).max(axis=1) <= radius]
-        cand_keys, first = np.unique(_mode_keys(cand, radius), return_index=True)
-        new = ~(_in_sorted(cand_keys, front_keys) | _in_sorted(cand_keys, previous))
-        previous, front_keys = front_keys, cand_keys[new]
-        front = cand[first[new]]
-        waves.append(front_keys)
-    keys = np.sort(np.concatenate(waves))
-    return np.stack(np.unravel_index(keys, (2 * radius + 1,) * d), axis=1) - radius
+    box = (2 * radius + 1,) * d
+    shifts = np.asarray(shifts, dtype=np.int64).reshape(-1, d)
+    shifts = shifts[shifts.any(axis=1)]
+    # the representative of +-s whose first nonzero entry is positive
+    lead = shifts[np.arange(shifts.shape[0]), (shifts != 0).argmax(axis=1)]
+    shifts = np.unique(shifts * np.sign(lead)[:, None], axis=0)
+    # keys are linear in the mode, so m + k s has the key key(m) + k key(s) inside the box
+    steps = _box_keys(shifts, (0,) * d, box)
+    keys = front = _distinct(_mode_keys(start, radius))[0]
+    expanded = [keys[:0]] * shifts.shape[0]  # sorted first-point keys of each shift's chains
+    while front.size:
+        modes = np.stack(np.unravel_index(front, box), axis=1) - radius
+        chains = [front[:0]]
+        for j, (s, step) in enumerate(zip(shifts, steps)):
+            lo, hi = _chain_ranges(modes, s, radius)
+            first, at = _distinct(front + lo * step)
+            new = ~_in_sorted(first, expanded[j])
+            first, at = first[new], at[new]
+            expanded[j] = np.sort(np.concatenate([expanded[j], first]))
+            length = hi[at] - lo[at] + 1
+            k = np.arange(length.sum()) - np.repeat(np.cumsum(length) - length, length)
+            chains.append(np.repeat(first, length) + k * step)
+        found = _distinct(np.concatenate(chains))[0]
+        front = found[~_in_sorted(found, keys)]
+        keys = np.sort(np.concatenate([keys, front]))
+    return np.stack(np.unravel_index(keys, box), axis=1) - radius
 
 
 def _evolution_generator(H, hbar, J, modes):
@@ -425,7 +472,10 @@ def evolve(f, H, hbar, t, J, trunc_radius=32):
     result leaves out of exp(t L_hbar) f on the mode set: the l1 mass at
     time t on the modes with |r|_inf > trunc_radius, which is zeroed,
     plus sqrt(n) * tail * ||f||_2 for the omitted series terms (n modes,
-    tail their l2 weight).  `steps` is the number of series terms.
+    tail their l2 weight).  It does not bound the floating-point
+    rounding of the recurrence: on the 12 acceptance records the result
+    differs from the closed form by l1 9.5e-15 to 7.9e-14, against a
+    reported 3.2e-15 to 1.3e-14.  `steps` is the number of series terms.
     """
     if not H.is_real():
         raise RealityError("Hamiltonian fails the reality test")

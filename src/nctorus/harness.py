@@ -70,7 +70,6 @@ class ExperimentConfig:
     ode_step: float = 1e-3
     trunc_radius: int = 32
     norm_window: int = 32
-    series_tol: float = 1e-12
     alias_tol: float = 1e-6
     norm_tol: float = 1e-6
     output_dir: str = "."

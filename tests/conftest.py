@@ -3,6 +3,7 @@ import pytest
 from hypothesis import strategies as st
 
 from nctorus import FourierElement, SymplecticStructure
+from nctorus.deform import _mode_keys
 from nctorus.errors import TruncationOverflowError
 from nctorus.lattice import PRUNE_TOL
 
@@ -90,6 +91,32 @@ def reference_deformed_mul(f, g, hbar, J, cap=64):
     phases = np.exp(-2j * np.pi * hbar * pairing)
     coeffs = f.coeffs[:, None] * g.coeffs[None, :] * phases
     return _reference_product(f, g, coeffs, cap, "deformed product")
+
+
+def reference_reachable_modes(start, shifts, radius):
+    """Reference for `_reachable_modes`: breadth-first waves, one lattice step per wave.
+
+    The shifts are closed under negation, so a wave meets old modes
+    only in itself and in the wave before it; waves are kept as sorted
+    `_mode_keys`, and the modes are returned as int64 rows in
+    lexicographic order.
+    """
+    d = start.shape[1]
+    shifts = np.unique(np.concatenate([shifts, -shifts]), axis=0)
+    front_keys, first = np.unique(_mode_keys(start, radius), return_index=True)
+    front = start[first]
+    waves = [front_keys]
+    previous = front_keys[:0]
+    while front.shape[0]:
+        cand = (front[:, None, :] + shifts[None, :, :]).reshape(-1, d)
+        cand = cand[np.abs(cand).max(axis=1) <= radius]
+        cand_keys, first = np.unique(_mode_keys(cand, radius), return_index=True)
+        new = ~(np.isin(cand_keys, front_keys) | np.isin(cand_keys, previous))
+        previous, front_keys = front_keys, cand_keys[new]
+        front = cand[first[new]]
+        waves.append(front_keys)
+    keys = np.sort(np.concatenate(waves))
+    return np.stack(np.unravel_index(keys, (2 * radius + 1,) * d), axis=1) - radius
 
 
 def assert_same_bits(got, want):

@@ -2,7 +2,8 @@
 single ``[ACCEPTANCE] criterion N: PASS|FAIL`` line before asserting.
 
 The convergence scan (criterion 3) is computed once per session and
-shared with the determinism check (criterion 9).
+shared with the determinism check (criterion 9) and with the pin of its
+norm numbers.
 """
 
 import time
@@ -280,3 +281,30 @@ def test_criterion_9_determinism(acceptance_config, acceptance_scan):
     second = scan(acceptance_config, write=False)
     ok = first.csv_text == second.csv_text
     assert report(9, ok), "CSV differs between identical scan runs"
+
+
+# (iterations, op_lower) of each record's Lanczos estimate, from the loop
+# that applied L and L* through the standard mode order
+NORM_PINS = {
+    (0.0125, 0.25): (59, 0.020261310819850168),
+    (0.0125, 0.5): (49, 0.04103723702772383),
+    (0.0125, 1.0): (25, 0.08683017376049905),
+    (0.025, 0.25): (59, 0.08094965293809561),
+    (0.025, 0.5): (49, 0.16378389582264707),
+    (0.025, 1.0): (25, 0.3448104015946235),
+    (0.05, 0.25): (59, 0.3212935027575328),
+    (0.05, 0.5): (43, 0.6431115027017809),
+    (0.05, 1.0): (25, 1.2890263196946592),
+    (0.1, 0.25): (64, 1.1877977075899309),
+    (0.1, 0.5): (43, 2.0611432363541056),
+    (0.1, 1.0): (25, 1.388285129576142),
+}
+
+
+def test_norm_loop_numbers_pinned(acceptance_scan):
+    result, _ = acceptance_scan
+    got = {(r.hbar, r.t): (r.err.iterations, r.err.op_lower) for r in result.records}
+    assert got.keys() == NORM_PINS.keys()
+    for key, (iterations, op_lower) in NORM_PINS.items():
+        assert got[key][0] == iterations, key
+        assert got[key][1] == pytest.approx(op_lower, rel=1e-12), key

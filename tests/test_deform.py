@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -16,7 +18,7 @@ from nctorus import (
     poisson_bracket,
     scaled_commutator_residual,
 )
-from nctorus.deform import _table_range
+from nctorus.deform import _reachable_modes, _table_range
 from nctorus.errors import TruncationOverflowError
 from nctorus.harness import fit_order
 
@@ -26,6 +28,7 @@ from conftest import (
     elements,
     random_element,
     reference_deformed_mul,
+    reference_reachable_modes,
 )
 
 e = FourierElement.character
@@ -268,6 +271,50 @@ class TestDeformedMulKeys:
             assert got.n_modes == 0 and got.modes.shape == (0, 2)
         tiny = 1e-8 * e((1, 0))
         assert deformed_mul(tiny, tiny, 0.1, J).n_modes == 0
+
+
+@st.composite
+def reach_cases(draw):
+    """(start, shifts, radius) with zero, duplicate and non-unit shifts and start modes in the box."""
+    d = draw(st.integers(1, 4))
+    radius = draw(st.integers(0, 6))
+
+    def rows(lo, hi, n):
+        return draw(st.lists(st.lists(st.integers(lo, hi), min_size=d, max_size=d), min_size=1, max_size=n))
+
+    shifts = rows(-3, 3, 4)
+    if draw(st.booleans()):
+        shifts += [[0] * d, shifts[0]]
+    start = rows(-radius, radius, 3)
+    if draw(st.booleans()):  # a start mode on the box edge
+        start[0][draw(st.integers(0, d - 1))] = draw(st.sampled_from([-radius, radius]))
+    return tuple(np.array(x, dtype=np.int64).reshape(-1, d) for x in (start, shifts)) + (radius,)
+
+
+class TestReachableModes:
+    """`_reachable_modes` (whole-chain closure) against the breadth-first reference."""
+
+    @given(case=reach_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_breadth_first_waves(self, case):
+        start, shifts, radius = case
+        got = _reachable_modes(start, shifts, radius)
+        want = reference_reachable_modes(start, shifts, radius)
+        assert got.dtype == want.dtype == np.int64
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+    def test_d4_shear_allocates_no_box(self):
+        # the box of radius 36 in d = 4 has 73^4 = 28M cells; the chain is one line of it
+        start = np.array([[0, 1, 0, 0]])
+        shifts = np.array([[1, 0, 0, 0], [-1, 0, 0, 0]])
+        tracemalloc.start()
+        try:
+            modes = _reachable_modes(start, shifts, 36)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert modes.tolist() == [[k, 1, 0, 0] for k in range(-36, 37)]
+        assert peak < 1 << 20
 
 
 class TestCommutator:

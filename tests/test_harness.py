@@ -104,6 +104,18 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             small_config(ode_step=-1e-3)
 
+    def test_retired_series_tol_is_ignored(self, tmp_path):
+        # no code read series_tol; a config file that still sets it loads and scans the same
+        data = {"H": SHEAR, "f": OBS, "J": J_STD, "t_grid": [0.05], "trunc_radius": 8, "norm_window": 10}
+        with_key = ExperimentConfig.from_dict(
+            {**data, "series_tol": 1e-12, "output_dir": str(tmp_path / "with")}
+        )
+        assert not hasattr(with_key, "series_tol")
+        scan(with_key)
+        scan(ExperimentConfig.from_dict({**data, "output_dir": str(tmp_path / "without")}))
+        csv = [(tmp_path / run / "egorov_scan.csv").read_bytes() for run in ("with", "without")]
+        assert csv[0] == csv[1]
+
     def test_missing_keys(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"H": SHEAR})
