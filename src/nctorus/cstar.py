@@ -227,7 +227,8 @@ def fft_left_multiplication(f, hbar, J, window, axis, n_fft):
     The function is a layout adapter: it permutes x to one line of the
     window along the axis per row (`_LineKernel`), runs the kernel
     there and permutes back.  `op_norm_estimate` runs the kernel's
-    `apply_into` on that layout directly.
+    `apply_into` on that layout directly.  The kernel reuses its
+    buffers, so one function must not run in two threads at once.
     """
     if f.dim != J.dim:
         raise ValueError("element/structure dimension mismatch")
