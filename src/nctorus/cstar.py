@@ -156,7 +156,8 @@ class _LineKernel:
     the other axes.  `window` is the window part of a zero-padded input
     of length N per line, whose padding is never written, so a caller
     fills `window` and calls `apply_into`.  Every buffer is made once
-    here; a kernel is not reentrant.
+    here, and the transforms write into them (`numpy.fft`'s `out=`,
+    which needs numpy >= 2.0); a kernel is not reentrant.
     """
 
     def __init__(self, symbol, lines, modulation, shape, axis):
@@ -184,10 +185,7 @@ class _LineKernel:
         np.take(self.spectrum, self.lines, axis=0, out=self.gathered, mode="clip")
         self.gathered *= self.symbol
         np.fft.ifft(self.gathered, axis=2, norm="forward", out=self.gathered)
-        if self.gathered.shape[0] == 1:  # every scan difference; a product costs half an einsum
-            np.multiply(self.cropped[0], self.modulation[0], out=out)
-        else:
-            np.einsum("rjs,rs->js", self.cropped, self.modulation, out=out)
+        np.einsum("rjs,rs->js", self.cropped, self.modulation, out=out)
 
     def __call__(self, x):
         np.copyto(self.window, self.to_lines(x).reshape(self.window.shape))

@@ -239,19 +239,6 @@ def _in_sorted(keys, sorted_keys):
     return sorted_keys[at] == keys
 
 
-def _distinct(keys):
-    """The distinct values of the 1-D array `keys`, ascending, and the index of one occurrence of each.
-
-    A sort and a comparison of neighbours; `np.unique` spends several
-    times longer on the same int64 keys.
-    """
-    order = np.argsort(keys)
-    ordered = keys[order]
-    head = np.ones(ordered.size, dtype=bool)
-    np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
-    return ordered[head], order[head]
-
-
 def _chain_ranges(modes, shift, radius):
     """The least and greatest k with |m + k shift|_inf <= radius, for each row m of `modes`.
 
@@ -293,21 +280,21 @@ def _reachable_modes(start, shifts, radius):
     shifts = np.unique(shifts * np.sign(lead)[:, None], axis=0)
     # keys are linear in the mode, so m + k s has the key key(m) + k key(s) inside the box
     steps = _box_keys(shifts, (0,) * d, box)
-    keys = front = _distinct(_mode_keys(start, radius))[0]
+    keys = front = np.unique(_mode_keys(start, radius))
     expanded = [keys[:0]] * shifts.shape[0]  # sorted first-point keys of each shift's chains
     while front.size:
         modes = np.stack(np.unravel_index(front, box), axis=1) - radius
         chains = [front[:0]]
         for j, (s, step) in enumerate(zip(shifts, steps)):
             lo, hi = _chain_ranges(modes, s, radius)
-            first, at = _distinct(front + lo * step)
+            first, at = np.unique(front + lo * step, return_index=True)
             new = ~_in_sorted(first, expanded[j])
             first, at = first[new], at[new]
             expanded[j] = np.sort(np.concatenate([expanded[j], first]))
             length = hi[at] - lo[at] + 1
             k = np.arange(length.sum()) - np.repeat(np.cumsum(length) - length, length)
             chains.append(np.repeat(first, length) + k * step)
-        found = _distinct(np.concatenate(chains))[0]
+        found = np.unique(np.concatenate(chains))
         front = found[~_in_sorted(found, keys)]
         keys = np.sort(np.concatenate([keys, front]))
     return np.stack(np.unravel_index(keys, box), axis=1) - radius
