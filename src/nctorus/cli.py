@@ -13,6 +13,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from .deform import (
     PlanckParam,
     SymplecticStructure,
@@ -59,6 +61,19 @@ def _positive_int(text):
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be an integer >= 1: {text!r}")
     return n
+
+
+def _points(text, dim):
+    """The JSON list of d-vectors `text` as an (n, dim) float array; else `ConfigError`."""
+    try:
+        points = np.array(json.loads(text), dtype=np.float64)
+    except (json.JSONDecodeError, ValueError, TypeError, OverflowError) as exc:
+        raise ConfigError(f"bad --points: {exc}") from exc
+    if points.ndim != 2 or points.shape[0] == 0 or points.shape[1] != dim:
+        raise ConfigError(f"bad --points: not a nonempty list of {dim}-vectors: {text!r}")
+    if not np.isfinite(points).all():
+        raise ConfigError(f"bad --points: not all finite: {text!r}")
+    return points
 
 
 def _floats(text):
@@ -151,7 +166,7 @@ def _dispatch(args):
         _print_element(poisson_bracket(args.f, args.g, args.J))
     elif args.command == "flow":
         phi = hamiltonian_vector_field(args.hamiltonian, args.J)
-        points = json.loads(args.points)
+        points = _points(args.points, phi.dim)
         steps = step_count(args.t, args.step)
         result = flow_points(phi, points, args.t, steps, jacobians=args.jacobians)
         sys.stdout.write(result.to_csv(points))

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .deform import _as_hbar
 
@@ -81,8 +80,11 @@ def build_left_multiplication(f, hbar, J, window):
     So the entries are outer products of per-axis factors, one complex
     exponential per mode, axis and coordinate.  The matrix is built in
     CSC form: the rows q + p of column q ascend with p, because the
-    modes of f are sorted lexicographically.
+    modes of f are sorted lexicographically.  This is the one function
+    of the package that imports scipy.sparse.
     """
+    import scipy.sparse as sp  # here only, so importing nctorus does not load it
+
     if f.dim != J.dim:
         raise ValueError("element/structure dimension mismatch")
     h = _as_hbar(hbar)

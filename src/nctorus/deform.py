@@ -9,9 +9,9 @@ so products of trigonometric polynomials are computed exactly as sparse
 double loops over supports, never by discretizing the integral.  The
 Poisson bracket and the scaled-commutator residual that drives the
 classical-limit analysis live here as well, and so does the one
-generator of both evolutions: F -> (pi/(i hbar)) [H, F]_h as a sparse
-matrix on a finite mode set, whose hbar = 0 limit is the Liouville
-operator F -> {H, F}.  `evolve` applies its exponential with a
+generator of both evolutions: F -> (pi/(i hbar)) [H, F]_h as a numpy
+gather operator on a finite mode set, whose hbar = 0 limit is the
+Liouville operator F -> {H, F}.  `evolve` applies its exponential with a
 Chebyshev-Bessel series, for the quantum flow and the classical
 transport alike.
 """
@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ConfigError, DimensionMismatchError, RealityError
 from .lattice import (
@@ -300,18 +299,122 @@ def _reachable_modes(start, shifts, radius):
     return np.stack(np.unravel_index(keys, box), axis=1) - radius
 
 
+class _GatherOperator:
+    """A linear map on coefficient vectors: (A x)[i] = sum_k weight[k, i] x[source[k, i]].
+
+    `source` and `weight` are (terms, n) arrays, one row per term; a
+    slot with no term carries weight 0.  Each entry of A x is summed
+    from 0.0 over k in row order, so the rows fix the rounding, and for
+    finite x a slot of weight 0 adds nothing to it.  So a row of zeros
+    is skipped, and a row whose nonzero slots i all read x at i - o for
+    one offset o reads x as a shifted slice over those slots instead of
+    gathering it; on a box or a line of modes every row does.  Each
+    product is rounded as a compiled loop rounds (ar br - ai bi, ar bi
+    + ai br): numpy's complex multiply may fuse one of its two products
+    into the other, which is exact when the weight has a zero real or
+    imaginary part, so a row with weights of both parts nonzero is
+    applied as the sum of its real and imaginary parts.  The matvec
+    works in buffers of the operator, so an operator serves one caller
+    at a time.
+    """
+
+    def __init__(self, source, weight, terms=None):
+        self.source = source
+        self.weight = weight
+        n = weight.shape[1]
+        if terms is None:
+            terms = []
+            slots = np.arange(n)
+            for src, row in zip(source, weight):
+                live = row != 0.0
+                if not live.any():
+                    continue
+                offsets = slots[live] - src[live]
+                if offsets.min() == offsets.max():
+                    o = int(offsets[0])
+                    span = slice(max(o, 0), n + min(o, 0))
+                    read = slice(span.start - o, span.stop - o)
+                else:
+                    span, read = slice(0, n), src
+                row = row[span]
+                if np.all((row.real == 0.0) | (row.imag == 0.0)):
+                    terms.append((span, read, row, None))
+                else:
+                    terms.append((span, read, row.real.astype(row.dtype), 1j * row.imag))
+        self._terms = terms
+        self._gathered = np.empty(n, dtype=weight.dtype)
+        self._imag_part = np.empty(n, dtype=weight.dtype)
+
+    def matvec(self, x, out=None):
+        """A x, written into `out` when given; with `out`, no array is allocated."""
+        if out is None:
+            out = np.empty_like(self._gathered)
+        out.fill(0.0)
+        for span, read, re, im in self._terms:
+            g, h = self._gathered[span], self._imag_part[span]
+            if isinstance(read, slice):
+                xs = x[read]
+            else:
+                xs = np.take(x, read, out=g, mode="clip")
+            if im is not None:
+                np.multiply(xs, im, out=h)
+            np.multiply(xs, re, out=g)
+            if im is not None:
+                np.add(g, h, out=g)
+            acc = out[span]
+            np.add(acc, g, out=acc)
+        return out
+
+    def column_l1(self):
+        """The l1 norm of each column of A, summed from 0.0 over the terms in reverse order.
+
+        For `_evolution_generator` that is ascending row order, as in CSR.
+        """
+        n = self.weight.shape[1]
+        return np.bincount(
+            self.source[::-1].ravel(), np.abs(self.weight[::-1]).ravel(), minlength=n
+        )
+
+    def scaled(self, factor):
+        """factor * A for a real `factor`; the copy shares `source` and the reads of A.
+
+        A real factor scales each part of a weight on its own, so the
+        parts of a split row scale to the parts of the scaled row.
+        """
+        terms = [
+            (span, read, re * factor, None if im is None else im * factor)
+            for span, read, re, im in self._terms
+        ]
+        return _GatherOperator(self.source, self.weight * factor, terms)
+
+    def toarray(self):
+        """A as a dense (n, n) array."""
+        n = self.weight.shape[1]
+        dense = np.zeros((n, n), dtype=self.weight.dtype)
+        np.add.at(dense, (np.arange(n), self.source), self.weight)
+        return dense
+
+
 def _evolution_generator(H, hbar, J, modes):
-    """CSR matrix of F -> (pi/(i hbar)) [H, F]_h on coefficient vectors over `modes`.
+    """F -> (pi/(i hbar)) [H, F]_h on coefficient vectors over `modes`, as a `_GatherOperator`.
 
     `modes` must be nonempty and sorted lexicographically.  The column
     of mode r holds c_p w(p, r) in the row of r + p for each mode p of H,
     with w(p, r) = -(2 pi/hbar) sin(2 pi hbar p.Jr), or its hbar = 0
-    limit w_0(p, r) = -4 pi^2 p.Jr, which makes the matrix the Liouville
-    operator F -> {H, F}; targets outside `modes` and entries with w = 0
-    are left out.  For real H the matrix is anti-Hermitian.
+    limit w_0(p, r) = -4 pi^2 p.Jr, which makes the operator the
+    Liouville operator F -> {H, F}; targets outside `modes` and entries
+    with w = 0 are left out.  For real H the operator is anti-Hermitian.
+
+    Term k of the operator is mode p_k of H, taken in reverse: row m
+    then sums its sources m - p_k in ascending (lexicographic) order,
+    and a column sums its targets r + p_k in ascending order too, which
+    is the order of a canonical compressed sparse matrix, so the matvec
+    and the column norms are those of one to the bit.  A slot whose
+    source lies outside `modes`, or whose entry has w = 0, has weight 0
+    (up to sign), which adds nothing to a sum that starts from 0.0.
     """
-    n = modes.shape[0]
-    # a key box wide enough for every target, so keys never wrap
+    n, d = modes.shape
+    # a key box wide enough for every source, so keys never wrap
     radius = int(np.abs(modes).max()) + H.support_radius()
     mode_keys = _mode_keys(modes, radius)
     pairing = (H.modes @ J.J) @ modes.T  # (nH, n) of p . (J r)
@@ -319,12 +422,14 @@ def _evolution_generator(H, hbar, J, modes):
         scale, shape = -4.0 * np.pi**2, pairing
     else:
         scale, shape = -2.0 * np.pi / hbar, np.sin(2.0 * np.pi * hbar * pairing)
-    target_keys = _mode_keys(modes[None, :, :] + H.modes[:, None, :], radius)  # (nH, n)
-    rows = np.searchsorted(mode_keys, target_keys).clip(max=n - 1)
-    keep = (mode_keys[rows] == target_keys) & (shape != 0.0)
-    data = (H.coeffs[:, None] * scale * shape)[keep]
-    cols = np.broadcast_to(np.arange(n), keep.shape)[keep]
-    return sp.csr_array((data, (rows[keep], cols)), shape=(n, n), dtype=np.complex128)
+    data = (H.coeffs[:, None] * scale * shape)[::-1]  # column r: the entries c_p w(p, r)
+    # keys are linear in the mode, so the source r - p of mode r has the key key(r) - key(p)
+    shifts = _box_keys(H.modes[::-1], (0,) * d, (2 * radius + 1,) * d)
+    source_keys = mode_keys[None, :] - shifts[:, None]
+    source = np.searchsorted(mode_keys, source_keys).clip(max=n - 1)
+    weight = np.take_along_axis(data, source, axis=1)
+    weight[mode_keys[source] != source_keys] = 0.0
+    return _GatherOperator(source, weight)
 
 
 def _evolution_system(f, H, hbar, J, trunc_radius):
@@ -426,7 +531,7 @@ def _chebyshev_propagate(L, v, t):
     `CHEBYSHEV_TAIL`; that weight bounds the l2 norm of the omitted
     terms by weight * ||v||_2.
     """
-    rho = float(abs(L).sum(axis=0).max(initial=0.0))
+    rho = float(L.column_l1().max(initial=0.0))
     z = abs(t) * rho
     _check_series_length(z)
     if z == 0.0:
@@ -434,26 +539,36 @@ def _chebyshev_propagate(L, v, t):
     coeffs = bessel_j(z)
     tail = 2.0 * np.cumsum(np.abs(coeffs)[::-1])[::-1]
     terms = max(int(np.argmax(tail <= CHEBYSHEV_TAIL)), 2)
-    A = L * (math.copysign(1.0, t) / rho)
-    prev, cur = v, A @ v
+    A = L.scaled(math.copysign(1.0, t) / rho)
+    prev, cur = v.copy(), A.matvec(v)
     out = coeffs[0] * prev + (2.0 * coeffs[1]) * cur
+    nxt, term = np.empty_like(v), np.empty_like(v)
     for c in coeffs[2:terms]:
-        prev, cur = cur, 2.0 * (A @ cur) + prev
-        out += (2.0 * c) * cur
+        # psi_{k+1} = 2 A psi_k + psi_{k-1} and out += 2 c psi_{k+1}, in three rotating buffers
+        A.matvec(cur, out=nxt)
+        nxt *= 2.0
+        nxt += prev
+        np.multiply(nxt, 2.0 * c, out=term)
+        out += term
+        prev, cur, nxt = cur, nxt, prev
     return out, terms, float(tail[terms])
 
 
 def evolve(f, H, hbar, t, J, trunc_radius=32):
     """exp(t L_hbar) f: the quantum flow beta^h_t f, or at hbar = 0 the transport f o beta_t.
 
-    L_hbar F = (pi/(i hbar)) [H, F]_h, and L_0 F = {H, F}, is built as a
-    sparse matrix on the modes reachable from supp f by adding modes of
-    H within radius max(trunc_radius, radius of f) + 4 rH
-    (`_evolution_system`).  For real H it is anti-Hermitian, and its
-    exponential is applied by a Chebyshev-Bessel series truncated below
-    `CHEBYSHEV_TAIL`, with no step size and no randomness.  A series
-    argument z = |t| ||L||_1 above `MAX_SERIES_Z` raises `ConfigError`;
-    a t far past that limit is refused before the mode set is built.
+    L_hbar F = (pi/(i hbar)) [H, F]_h, and L_0 F = {H, F}, is built on
+    the modes reachable from supp f by adding modes of H within radius
+    max(trunc_radius, radius of f) + 4 rH (`_evolution_system`), as a
+    `_GatherOperator`: per mode, the indices and weights of its sources
+    over the modes of H, summed in the order of a canonical sparse
+    matrix, so the result is that of the sparse matrix to the bit.  It
+    needs numpy only; no scipy module is loaded.  For real H it is
+    anti-Hermitian, and its exponential is applied by a Chebyshev-Bessel
+    series truncated below `CHEBYSHEV_TAIL`, with no step size and no
+    randomness.  A series argument z = |t| ||L||_1 above `MAX_SERIES_Z`
+    raises `ConfigError`; a t far past that limit is refused before the
+    mode set is built.
 
     `discarded_mass` bounds, in l1 and hence in every C*-norm, what the
     result leaves out of exp(t L_hbar) f on the mode set: the l1 mass at

@@ -122,11 +122,16 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path):
-        with open(path) as fh:
-            try:
+        """Load a UTF-8 JSON config; a file that cannot be read or parsed raises `ConfigError`."""
+        try:
+            with open(path, encoding="utf-8") as fh:
                 data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        except OSError as exc:
+            raise ConfigError(f"cannot read config: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config is not UTF-8 text: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config is not valid JSON: {exc}") from exc
         return cls.from_dict(data)
 
     def resolved_output_dir(self):

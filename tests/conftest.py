@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import strategies as st
 
 from nctorus import FourierElement, SymplecticStructure
@@ -117,6 +118,30 @@ def reference_reachable_modes(start, shifts, radius):
         waves.append(front_keys)
     keys = np.sort(np.concatenate(waves))
     return np.stack(np.unravel_index(keys, (2 * radius + 1,) * d), axis=1) - radius
+
+
+def reference_evolution_generator(H, hbar, J, modes):
+    """Reference for `_evolution_generator`: the same entries as a scipy CSR matrix.
+
+    The column of mode r holds c_p w(p, r) in the row of r + p, found by
+    searching the key of r + p; targets outside `modes` and entries with
+    w = 0 are left out.  Canonical CSR sums each row in ascending column
+    order, from 0.0, and its column sums in ascending row order.
+    """
+    n = modes.shape[0]
+    radius = int(np.abs(modes).max()) + H.support_radius()
+    mode_keys = _mode_keys(modes, radius)
+    pairing = (H.modes @ J.J) @ modes.T  # (nH, n) of p . (J r)
+    if hbar == 0.0:
+        scale, shape = -4.0 * np.pi**2, pairing
+    else:
+        scale, shape = -2.0 * np.pi / hbar, np.sin(2.0 * np.pi * hbar * pairing)
+    target_keys = _mode_keys(modes[None, :, :] + H.modes[:, None, :], radius)  # (nH, n)
+    rows = np.searchsorted(mode_keys, target_keys).clip(max=n - 1)
+    keep = (mode_keys[rows] == target_keys) & (shape != 0.0)
+    data = (H.coeffs[:, None] * scale * shape)[keep]
+    cols = np.broadcast_to(np.arange(n), keep.shape)[keep]
+    return sp.csr_array((data, (rows[keep], cols)), shape=(n, n), dtype=np.complex128)
 
 
 def assert_same_bits(got, want):

@@ -440,6 +440,32 @@ class TestCli:
         path.write_text("{broken")
         assert main(["scan", str(path)]) == 2
 
+    def test_missing_config_file_exits_2(self, tmp_path, capsys):
+        assert main(["scan", str(tmp_path / "absent.json")]) == 2
+        assert "cannot read config" in capsys.readouterr().err
+
+    def test_config_directory_exits_2(self, tmp_path, capsys):
+        assert main(["scan", str(tmp_path)]) == 2
+        assert "cannot read config" in capsys.readouterr().err
+
+    def test_non_utf8_config_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b'{"H": "\xff"}')
+        assert main(["scan", str(path)]) == 2
+        assert "not UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "points, message",
+        [("oops", "bad --points: Expecting value"),
+         ("[[0.1, 0.2, 0.3]]", "not a nonempty list of 2-vectors")],
+        ids=["not-json", "row-of-3-in-d=2"],
+    )
+    def test_bad_flow_points_exit_2(self, points, message, capsys):
+        code = main(["flow", "--hamiltonian", json.dumps(SHEAR), "--points", points, "--t", "0.1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert message in err and len(err.strip().splitlines()) == 1
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nctorus import (
     FourierElement,
@@ -27,6 +29,8 @@ from nctorus.deform import (
     _reachable_modes,
 )
 from nctorus.quantum import EvolutionResult
+
+from conftest import elements_nd, reference_evolution_generator
 
 e = FourierElement.character
 unit = FourierElement.unit
@@ -225,7 +229,48 @@ class TestGeneratorEngine:
         expected = (np.pi / (1j * hbar)) * commutator(H, F, hbar, J, cap=8)
         dense = np.zeros(len(row), dtype=complex)
         dense[[row[tuple(m)] for m in expected.modes.tolist()]] = expected.coeffs
-        assert np.abs(L @ v - dense).sum() <= 1e-12 * max(1.0, np.abs(dense).sum())
+        assert np.abs(L.matvec(v) - dense).sum() <= 1e-12 * max(1.0, np.abs(dense).sum())
+
+    @given(
+        dim=st.sampled_from([2, 4]),
+        hbar=st.sampled_from([0.0, 0.1, -0.37, 0.0125]),
+        scale_J=st.sampled_from([1.0, 0.37]),
+        data=st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_csr_oracle_bit_for_bit(self, dim, hbar, scale_J, data):
+        # complex coefficients of both parts, a non-integral J, and radii
+        # small enough that the box edge drops targets of the outer modes
+        H = data.draw(elements_nd((dim,), radius=1, max_terms=4))
+        H = H + H.star()
+        start = data.draw(elements_nd((dim,), radius=1, max_terms=3))
+        if H.n_modes == 0 or start.n_modes == 0:
+            return
+        J = SymplecticStructure(scale_J * SymplecticStructure.standard(dim).J)
+        radius = data.draw(st.integers(1, 4 if dim == 2 else 2))
+        modes = _reachable_modes(start.modes, H.modes, radius)
+        L = _evolution_generator(H, hbar, J, modes)
+        ref = reference_evolution_generator(H, hbar, J, modes)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        x = rng.standard_normal(modes.shape[0]) + 1j * rng.standard_normal(modes.shape[0])
+        assert L.matvec(x).tobytes() == (ref @ x).tobytes()
+        assert L.column_l1().tobytes() == abs(ref).sum(axis=0).tobytes()
+        assert L.scaled(-0.3).matvec(x).tobytes() == ((ref * -0.3) @ x).tobytes()
+        assert np.array_equal(L.toarray(), ref.toarray())
+
+    @pytest.mark.parametrize("shifts", [[(1, 0), (0, 1)], [(2, 1), (1, -1)]], ids=["box", "index-3"])
+    def test_gathered_and_sliced_reads_match_csr_oracle(self, J, shifts):
+        # on the box every term reads x as one shifted slice; on the index-3
+        # sublattice the rows differ in length, so the sources of a term are
+        # no one shift of its targets and the operator gathers them
+        H = FourierElement(2, {m: 0.7 + 0.2j for m in shifts} | {
+            tuple(-c for c in m): 0.7 - 0.2j for m in shifts
+        })
+        modes = _reachable_modes(np.zeros((1, 2), dtype=np.int64), H.modes, 4)
+        L = _evolution_generator(H, 0.1, J, modes)
+        ref = reference_evolution_generator(H, 0.1, J, modes)
+        x = [1.0, 1j] @ np.random.default_rng(3).standard_normal((2, modes.shape[0]))
+        assert L.matvec(x).tobytes() == (ref @ x).tobytes()
 
     def test_reachable_set_is_not_a_box(self):
         # the shear only moves along the first axis
@@ -343,7 +388,7 @@ class TestChebyshevEvolve:
         # f = 1 is fixed, so its own column gives no floor: the check on ||L||_1 refuses
         H = generic_hamiltonian()
         _, L, v, _ = _evolution_system(unit(), H, 0.1, J, 4)
-        rho = abs(L).sum(axis=0).max()
+        rho = L.column_l1().max()
         _chebyshev_propagate(L, v, MAX_SERIES_Z / rho)
         with pytest.raises(ConfigError, match="series of length"):
             evolve(unit(), H, 0.1, 1.01 * MAX_SERIES_Z / rho, J, trunc_radius=4)
