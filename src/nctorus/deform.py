@@ -109,7 +109,7 @@ def cocycle(p, q, hbar, J):
 
 
 def _table_range(pairing, J):
-    """The range (lo, hi) of `pairing` if `_twist` may use a phase table, else None.
+    """The range (lo, hi) of `pairing` if `_on_pairings` may use a table, else None.
 
     For an integral J every pairing p . (J q) is an integer-valued float.
     The table applies when its range is exact in int64 (|lo|, |hi| <
@@ -123,28 +123,35 @@ def _table_range(pairing, J):
     return None
 
 
-def _twist(pairing, h, J):
-    """The phases exp(-2 pi i h k) for the pairings k = p . (J q) in `pairing`.
+def _on_pairings(fn, pairing, J):
+    """The elementwise `fn(pairing)` of a ufunc expression `fn`, for pairings k = p . (J q).
 
-    Inside `_table_range` one exp per integer of [lo, hi] is gathered by
-    `pairing - lo`; otherwise one exp per pair.  The table gives every
-    entry the exp of the same float argument as the per-pair exp, so the
-    phases are the same bits, up to the sign of an imaginary zero at a
-    pairing of -0.0, which the sums of `_convolve` drop.
+    Inside `_table_range`, `fn` runs once on the integers of [lo, hi] and
+    the entries gather from that table by `pairing - lo`; otherwise it
+    runs once per pair.  The table gives every entry `fn` of the same
+    float argument, so the values are the same bits, up to the sign of a
+    zero that `fn` makes of a pairing of -0.0; sums that start from 0.0
+    drop that sign.
     """
     table_range = _table_range(pairing, J)
     if table_range is None:
-        return np.exp(-2j * np.pi * h * pairing)
+        return fn(pairing)
     lo, hi = table_range
-    table = np.exp(-2j * np.pi * h * np.arange(lo, hi + 1, dtype=np.float64))
-    return table[pairing.astype(np.int64) - lo]
+    return fn(np.arange(lo, hi + 1, dtype=np.float64))[pairing.astype(np.int64) - lo]
 
 
 def deformed_mul(f, g, hbar, J, cap=DEFAULT_MODE_CAP):
     """The deformed product f x_h g as a twisted convolution.
 
     Bilinear and exact on trigonometric polynomials; at hbar = 0 it
-    coincides with the pointwise product.
+    coincides with the pointwise product.  `_convolve` asks for the pair
+    coefficients one block of f's modes at a time; each block forms its
+    pairings k, its phases exp(-2 pi i hbar k) by `_on_pairings` (a table
+    or one exp per pair, decided per block; both give the same bits) and
+    its coefficients by the broadcast expression of the whole (n_f, n_g)
+    product on a row slice.  numpy's complex multiply may round
+    differently by loop shape (FMA), and that expression gives each pair
+    the bits it has in the whole product.
     """
     f._check_dim(g)
     if f.dim != J.dim:
@@ -152,9 +159,14 @@ def deformed_mul(f, g, hbar, J, cap=DEFAULT_MODE_CAP):
     h = _as_hbar(hbar)
     if f.n_modes == 0 or g.n_modes == 0:
         return FourierElement.zero(f.dim)
-    pairing = (f.modes @ J.J) @ g.modes.T  # (nf, ng) of p . (J q)
-    coeffs = f.coeffs[:, None] * g.coeffs[None, :] * _twist(pairing, h, J)
-    return _convolve(f, g, coeffs, cap, "deformed product")
+    f_J, g_T = f.modes @ J.J, g.modes.T
+
+    def block_coeffs(rows):
+        pairing = f_J[rows] @ g_T  # p . (J q) for the modes p of f in `rows`
+        phases = _on_pairings(lambda k: np.exp(-2j * np.pi * h * k), pairing, J)
+        return f.coeffs[rows, None] * g.coeffs[None, :] * phases
+
+    return _convolve(f, g, block_coeffs, cap, "deformed product")
 
 
 def commutator(f, g, hbar, J, cap=DEFAULT_MODE_CAP):
@@ -257,7 +269,10 @@ def _chain_ranges(modes, shift, radius):
 def _reachable_modes(start, shifts, radius):
     """Modes reachable from `start` by adding rows of `shifts`, inside |m|_inf <= radius.
 
-    `start` must lie inside the box.  Reachability is symmetric once the
+    `start` must lie inside the box.  When the shifts hold a unit step
+    +-e_a along every axis a, every mode of the convex box is reachable,
+    and the box is returned whole with no search.  Otherwise the set is
+    closed chain by chain.  Reachability is symmetric once the
     shifts are closed under negation, so each pair +-s is kept once,
     and the zero shift is dropped.  As the box is convex, the modes m +
     k s inside it form one contiguous chain of k (`_chain_ranges`), so
@@ -267,12 +282,16 @@ def _reachable_modes(start, shifts, radius):
     box, was already expanded; it stops when a round adds no mode.  The
     rounds count the changes of direction a path needs, not its length,
     and the work and memory are O(modes x shifts): no array spans the
-    (2 radius + 1)^d box.  Modes are handled as `_mode_keys` and
-    returned as int64 rows in lexicographic order.
+    (2 radius + 1)^d box.  Modes are handled as `_mode_keys`.  Both
+    ways return int64 rows in lexicographic order.
     """
     d = start.shape[1]
     box = (2 * radius + 1,) * d
     shifts = np.asarray(shifts, dtype=np.int64).reshape(-1, d)
+    units = shifts[np.abs(shifts).sum(axis=1) == 1]  # the rows +-e_a
+    if start.shape[0] and units.any(axis=0).all():
+        # unit steps along every axis connect the whole box
+        return np.stack(np.unravel_index(np.arange(math.prod(box)), box), axis=1) - radius
     shifts = shifts[shifts.any(axis=1)]
     # the representative of +-s whose first nonzero entry is positive
     lead = shifts[np.arange(shifts.shape[0]), (shifts != 0).argmax(axis=1)]
@@ -421,7 +440,8 @@ def _evolution_generator(H, hbar, J, modes):
     if hbar == 0.0:
         scale, shape = -4.0 * np.pi**2, pairing
     else:
-        scale, shape = -2.0 * np.pi / hbar, np.sin(2.0 * np.pi * hbar * pairing)
+        shape = _on_pairings(lambda k: np.sin(2.0 * np.pi * hbar * k), pairing, J)
+        scale = -2.0 * np.pi / hbar
     data = (H.coeffs[:, None] * scale * shape)[::-1]  # column r: the entries c_p w(p, r)
     # keys are linear in the mode, so the source r - p of mode r has the key key(r) - key(p)
     shifts = _box_keys(H.modes[::-1], (0,) * d, (2 * radius + 1,) * d)

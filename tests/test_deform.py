@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,8 +19,10 @@ from nctorus import (
     poisson_bracket,
     scaled_commutator_residual,
 )
+import nctorus.lattice as lattice
 from nctorus.deform import _reachable_modes, _table_range
 from nctorus.errors import TruncationOverflowError
+from nctorus.lattice import _row_blocks
 from nctorus.harness import fit_order
 
 from conftest import (
@@ -28,6 +31,7 @@ from conftest import (
     elements,
     random_element,
     reference_deformed_mul,
+    reference_pointwise_mul,
     reference_reachable_modes,
 )
 
@@ -274,6 +278,58 @@ class TestDeformedMulKeys:
 
 
 @st.composite
+def block_pairs(draw):
+    """Two factors on T^d, d in 1..4, of 1 to 40 drawn modes each, with signed-zero parts.
+
+    Each factor's modes lie in a small box, so the box of sums is often
+    dense and the products walk several row blocks.  The box is moved
+    off the origin by up to 40 per axis: pairings with such modes are
+    rounded sums of inexact products, which numpy's gemv for a one-row
+    block can round differently from the gemm of all rows (`_row_blocks`).
+    """
+    d = draw(st.integers(1, 4))
+    radius = draw(st.integers(1, 3 if d < 3 else 1))
+    parts = st.one_of(st.floats(-3, 3), st.sampled_from([0.0, -0.0]))
+
+    def factor():
+        n = draw(st.integers(1, 40))
+        offset = np.array(draw(st.tuples(*[st.integers(-40, 40)] * d)))
+        modes = draw(st.lists(st.tuples(*[st.integers(-radius, radius)] * d), min_size=n, max_size=n))
+        return FourierElement(d, [(offset + m, complex(draw(parts), draw(parts))) for m in modes])
+
+    return factor(), factor()
+
+
+class TestProductBlocks:
+    """The row-blocked products against the all-pairs references, on blocks of a few pairs."""
+
+    @given(
+        pair=block_pairs(),
+        block=st.sampled_from([1, 7, 64]),
+        hbar=st.sampled_from([0.0, 0.1, -0.37, 0.0125]),
+        standard=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference(self, pair, block, hbar, standard):
+        f, g = pair
+        J = SymplecticStructure.standard(f.dim) if standard and f.dim % 2 == 0 else skew(f.dim)
+        with mock.patch.object(lattice, "CONVOLVE_BLOCK", block):
+            got = deformed_mul(f, g, hbar, J, cap=128)
+            got_pointwise = pointwise_mul(f, g, cap=128)
+        assert_same_bits(got, reference_deformed_mul(f, g, hbar, J, cap=128))
+        assert_same_bits(got_pointwise, reference_pointwise_mul(f, g, cap=128))
+
+    def test_block_rows(self):
+        with mock.patch.object(lattice, "CONVOLVE_BLOCK", 7):
+            # 7 // 3 = 2 rows a block; the lone last row joins the block before it
+            assert list(_row_blocks(7, 3)) == [(0, 2), (2, 4), (4, 7)]
+            assert list(_row_blocks(6, 1)) == [(0, 6)]
+            # at least two rows, however wide g is, unless f has one mode
+            assert list(_row_blocks(5, 100)) == [(0, 2), (2, 5)]
+            assert list(_row_blocks(1, 100)) == [(0, 1)]
+
+
+@st.composite
 def reach_cases(draw):
     """(start, shifts, radius) with zero, duplicate and non-unit shifts and start modes in the box."""
     d = draw(st.integers(1, 4))
@@ -302,6 +358,32 @@ class TestReachableModes:
         want = reference_reachable_modes(start, shifts, radius)
         assert got.dtype == want.dtype == np.int64
         assert got.shape == want.shape and np.array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "shifts, radius",
+        [
+            ([[1], [3]], 5),
+            ([[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1], [-1, -1]], 28),  # the generic H of the benchmark
+            ([[0, 0, -1], [1, 0, 0], [0, 1, 0], [2, -1, 0]], 3),
+        ],
+        ids=["d=1", "d=2", "d=3"],
+    )
+    def test_unit_steps_return_the_whole_box(self, shifts, radius):
+        shifts = np.array(shifts, dtype=np.int64)
+        d = shifts.shape[1]
+        start = np.eye(1, d, dtype=np.int64)
+        got = _reachable_modes(start, shifts, radius)
+        want = reference_reachable_modes(start, shifts, radius)
+        assert got.dtype == np.int64 and got.flags.c_contiguous
+        assert got.shape == ((2 * radius + 1) ** d, d) and np.array_equal(got, want)
+
+    def test_box_without_a_unit_step_takes_the_chains(self):
+        # (1, 0) and (1, 1) reach the whole box too, but no shift is +-e_2
+        start = np.array([[0, 1]])
+        shifts = np.array([[1, 0], [1, 1]])
+        got = _reachable_modes(start, shifts, 4)
+        assert got.shape == (81, 2)
+        assert np.array_equal(got, reference_reachable_modes(start, shifts, 4))
 
     def test_d4_shear_allocates_no_box(self):
         # the box of radius 36 in d = 4 has 73^4 = 28M cells; the chain is one line of it

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,7 @@ from nctorus.deform import (
     _evolution_generator,
     _evolution_system,
     _reachable_modes,
+    _table_range,
 )
 from nctorus.quantum import EvolutionResult
 
@@ -180,6 +183,23 @@ class TestConjugationEvolve:
         # the series for -t gives the same factor to roundoff
         assert (unitary_propagator(qh, -t, J, trunc_radius=24).element - right).l1() < 1e-12
 
+    @pytest.mark.parametrize("t, n_modes", [(0.04, 467), (0.1, 907)])
+    def test_sandwich_product_peak_memory(self, J, t, n_modes):
+        # the benchmark's generic H at its widest draw (a = 0.25, b = 0.125)
+        # and trunc_radius: held as all pairs at once, the product u f x u*
+        # took 10.5 MB at t = 0.04 and 39.5 MB at t = 0.1
+        H = e((1, 0)) + e((-1, 0)) + 0.25 * (e((0, 1)) + e((0, -1))) + 0.125 * (e((1, 1)) + e((-1, -1)))
+        u = unitary_propagator(QuantumHamiltonian(H, 0.1), t, J, trunc_radius=24).element
+        left, right = deformed_mul(u, e((0, 1)), 0.1, J, cap=128), u.star()
+        assert left.n_modes == right.n_modes == n_modes
+        tracemalloc.start()
+        try:
+            deformed_mul(left, right, 0.1, J, cap=128)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 << 20
+
 
 class TestHeisenbergEvolve:
     def test_zero_generator_cases(self, J, shear_hamiltonian):
@@ -271,6 +291,20 @@ class TestGeneratorEngine:
         ref = reference_evolution_generator(H, 0.1, J, modes)
         x = [1.0, 1j] @ np.random.default_rng(3).standard_normal((2, modes.shape[0]))
         assert L.matvec(x).tobytes() == (ref @ x).tobytes()
+
+    @pytest.mark.parametrize("scale_J, table", [(1.0, True), (0.37, False)], ids=["table", "per-pair"])
+    def test_sin_table_matches_csr_oracle(self, scale_J, table):
+        # integral J: the sines come from one table over the integer pairings
+        J = SymplecticStructure(scale_J * SymplecticStructure.standard().J)
+        H = generic_hamiltonian() + (0.3 + 0.1j) * e((2, -1)) + (0.3 - 0.1j) * e((-2, 1))
+        modes = _reachable_modes(np.array([[0, 1]]), H.modes, 9)
+        assert (_table_range((H.modes @ J.J) @ modes.T, J) is not None) == table
+        L = _evolution_generator(H, 0.0125, J, modes)
+        ref = reference_evolution_generator(H, 0.0125, J, modes)
+        x = [1.0, 1j] @ np.random.default_rng(5).standard_normal((2, modes.shape[0]))
+        assert L.matvec(x).tobytes() == (ref @ x).tobytes()
+        assert L.column_l1().tobytes() == abs(ref).sum(axis=0).tobytes()
+        assert np.array_equal(L.toarray(), ref.toarray())
 
     def test_reachable_set_is_not_a_box(self):
         # the shear only moves along the first axis
