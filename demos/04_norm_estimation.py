@@ -31,6 +31,15 @@ for hbar in (0.0, 0.1, 0.25, 0.5):
     )
 print("  at hbar=0 the norm is sup|2cos + 2cos| = 4; deformation shrinks it")
 
+print("\n== one row of modes: one Toeplitz SVD, the same for every hbar ==")
+# 0.5 e(-1,1) + e(0,1) + 0.5 e(1,1) = (1 + cos 2 pi x) e(y): every mode has
+# p2 = 1, so L is a direct sum of copies of the 17 x 17 Toeplitz matrix of
+# (0.5, 1, 0.5), whose norm approaches sup|1 + cos| = 2 as the window grows
+row = 0.5 * e((-1, 1)) + e((0, 1)) + 0.5 * e((1, 1))
+for hbar in (0.0, 0.1, 0.25):
+    est = op_norm_estimate(row, hbar, J, window=8)
+    print(f"  hbar={hbar:<5} op {est.op_lower:.10f}  ({est.iterations} iterations)")
+
 print("\n== the estimate is monotone in the window ==")
 rng = np.random.default_rng(5)
 modes = rng.integers(-2, 3, size=(4, 2))

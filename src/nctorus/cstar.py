@@ -6,12 +6,30 @@ the left-multiplication operator compressed to a finite mode window,
 which is a certified lower bound (compressions reduce norms) and is
 nondecreasing in the window size.
 
-That operator L has two kernels.  `build_left_multiplication` forms it
-as a sparse matrix of nnz(L) entries; `fft_left_multiplication` applies
-it without forming it, as one convolution along a lattice axis per row
-of supp f, by FFT.  `op_norm_estimate` takes the FFT kernel when its
-operation count (rows + 1) N log2 N (2W+1)^(d-1) is below nnz(L)
-(`fft_plan`), and the sparse matrix otherwise.
+When the modes of f lie on one line, that is when every mode
+p = (k, p') has the same coordinates p' off some axis a (always in
+d = 1 and for a single mode), ||L|| is the top singular value of one
+(2W+1) x (2W+1) Toeplitz matrix T[i, j] = c_{(i-j, p')}, i, j in
+[-W, W] (`_line_axis`).  J is skew, so the entry of L at (r, r - p) is
+c_p e(-hbar (pJ).r).  With r = (r_a, r') the pairing (pJ).r is the sum
+of three terms: k (J_{a,.}.r'), a Toeplitz shift that a diagonal
+unitary removes; r_a (p'J)_a, a row modulation independent of k; and a
+term in (p', r') alone, whose phase is one constant per block.  So the
+block of L from the input line r' - p' to the output line r' is D1 T D2
+times a phase, D1 and D2 diagonal unitaries.  The map r' - p' -> r' is
+one to one, so L is a direct sum of copies of the truncated Toeplitz
+matrix T (Boettcher-Silbermann, Introduction to Large Truncated
+Toeplitz Matrices, 1999) and of zero blocks, for lines whose source
+leaves the window.  The line r' = p' has source 0, always inside since
+W >= radius + 1, so ||L|| = ||T|| for every hbar and J.
+
+Any other element runs a Lanczos recurrence on L*L, where L has two
+kernels.  `build_left_multiplication` forms it as a sparse matrix of
+nnz(L) entries; `fft_left_multiplication` applies it without forming
+it, as one convolution along a lattice axis per row of supp f, by FFT.
+`op_norm_estimate` takes the FFT kernel when its operation count
+(rows + 1) N log2 N (2W+1)^(d-1) is below nnz(L) (`fft_plan`), and the
+sparse matrix otherwise.
 """
 
 from __future__ import annotations
@@ -32,6 +50,10 @@ class NormEstimate:
     lower_l2 <= op_lower <= upper_l1; `op_lower` is the largest singular
     value of the truncated left-regular twisted representation and is
     the headline (certified lower) estimate, never an exact norm.
+    `iterations` and `residual` are the Lanczos step count and the final
+    Ritz estimate.  For an element on one line (`_line_axis`), whose
+    `op_lower` is one dense Toeplitz SVD, no step runs: `iterations` is
+    0 and `residual` 0.0, as for the zero element.
     """
 
     lower_l2: float
@@ -258,6 +280,25 @@ def fft_left_multiplication(f, hbar, J, window, axis, n_fft):
     return _LineKernel(symbol, lines, modulation, (side,) * d, axis)
 
 
+def _line_axis(f):
+    """An axis a on which every mode of `f` has the same other coordinates p', else None."""
+    for a in range(f.dim):
+        others = np.delete(f.modes, a, axis=1)
+        if (others == others[0]).all():
+            return a
+    return None
+
+
+def _line_norm(f, axis, window):
+    """||T||, T[i, j] = c_{(i-j, p')} for i, j in [-W, W]: the norm of L for `f` on one line."""
+    side = 2 * window + 1
+    diagonals = np.zeros(2 * side - 1, dtype=np.complex128)  # c at i - j + 2W
+    diagonals[f.modes[:, axis] + 2 * window] = f.coeffs
+    i = np.arange(side)
+    T = diagonals[i[:, None] - i + 2 * window]
+    return float(np.linalg.svd(T, compute_uv=False)[0])
+
+
 def op_norm_estimate(f, hbar, J, window=None, tol=1e-8, max_iter=None):
     """Estimate the deformed C*-norm of `f` with sandwich certificates.
 
@@ -280,6 +321,14 @@ def op_norm_estimate(f, hbar, J, window=None, tol=1e-8, max_iter=None):
     is the same: it updates w in place, rotates two vector buffers and
     keeps a running max(alpha).
 
+    An element whose modes lie on one line along an axis (`_line_axis`;
+    every element in d = 1 and every single mode) skips the recurrence:
+    ||L|| is then the top singular value of one (2W+1) x (2W+1) Toeplitz
+    matrix, for every hbar and J (module docstring), computed by a dense
+    SVD.  That value is exact up to rounding, so the estimate reports
+    `iterations` 0 and `residual` 0.0, and `tol` and `max_iter` are not
+    read.
+
     Parameters
     ----------
     f : FourierElement
@@ -291,9 +340,10 @@ def op_norm_estimate(f, hbar, J, window=None, tol=1e-8, max_iter=None):
         every mode of `f`.
     tol : float
         Ritz estimate beta_m |y_m| / mu of ||(L*L) x - mu x|| / mu at which
-        to stop, for the top Ritz pair (mu, x).
+        to stop, for the top Ritz pair (mu, x).  Not read on the line path.
     max_iter : int, optional
         Step cap, default 10 * W^2; the recurrence also ends at dim L steps.
+        Not read on the line path.
     """
     if window is None:
         window = default_window(f)
@@ -302,6 +352,19 @@ def op_norm_estimate(f, hbar, J, window=None, tol=1e-8, max_iter=None):
     if window < f.support_radius() + 1:
         raise ValueError(
             f"window {window} too small for support radius {f.support_radius()}"
+        )
+    if f.dim != J.dim:
+        raise ValueError("element/structure dimension mismatch")
+    _as_hbar(hbar)  # a non-finite hbar raises on the line path too
+    axis = _line_axis(f)
+    if axis is not None:
+        return NormEstimate(
+            lower_l2=l2_lower(f),
+            upper_l1=l1_upper(f),
+            op_lower=_line_norm(f, axis, window),
+            window=window,
+            iterations=0,
+            residual=0.0,
         )
     if max_iter is None:
         max_iter = 10 * window**2

@@ -59,7 +59,9 @@ class ExperimentConfig:
 
     `hamiltonian` and `observable` use the element literal form
     ([[p...], re, im] triples) in config files; hbar values must be
-    nonzero and inside [-1, 1].
+    nonzero and inside [-1, 1].  `alias_tol`, `norm_tol` and
+    `max_discarded_mass` must be finite and >= 0, `min_fit_order`
+    finite; a NaN would switch its gate off.
     """
 
     hamiltonian: FourierElement
@@ -103,6 +105,12 @@ class ExperimentConfig:
         for radius in (self.trunc_radius, self.norm_window):
             if not isinstance(radius, numbers.Integral) or isinstance(radius, bool) or radius < 1:
                 raise ConfigError("trunc_radius and norm_window must be integers >= 1")
+        for name in ("alias_tol", "norm_tol", "max_discarded_mass", "min_fit_order"):
+            if not _is_finite_real(getattr(self, name)):
+                raise ConfigError(f"{name} must be a finite number")
+        for name in ("alias_tol", "norm_tol", "max_discarded_mass"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0")
 
     @classmethod
     def from_dict(cls, data):

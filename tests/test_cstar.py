@@ -96,6 +96,7 @@ def assert_fft_matches_sparse(f, hbar, J, window):
 
 #: Skew structures per dimension: integral, non-integral and degenerate.
 STRUCTURES = {
+    1: [np.zeros((1, 1))],
     2: [[[0, 1], [-1, 0]], [[0, 0.37], [-0.37, 0]], np.zeros((2, 2))],
     3: [[[0, 1, -2], [-1, 0, 1], [2, -1, 0]], [[0, 1.3, 0.5], [-1.3, 0, -0.71], [-0.5, 0.71, 0]],
         np.zeros((3, 3))],
@@ -115,6 +116,26 @@ def kernel_cases(draw):
     assume(f.n_modes > 0)
     J = SymplecticStructure(draw(st.sampled_from(STRUCTURES[d])))
     return f, J, f.support_radius() + draw(st.integers(1, 3))
+
+
+#: (support radius, largest W - radius) of `line_cases` per dimension; the
+#: dense oracle's matrix has at most 729 rows
+LINE_SIZES = {1: (4, 3), 2: (3, 3), 3: (1, 3), 4: (1, 1)}
+
+
+@st.composite
+def line_cases(draw):
+    """(f, J, window): f on one line along an axis, in d = 1 to 4, each `STRUCTURES` J."""
+    d = draw(st.sampled_from([1, 2, 3, 4]))
+    radius, margin = LINE_SIZES[d]
+    axis = draw(st.integers(0, d - 1))
+    rest = draw(st.lists(st.integers(-radius, radius), min_size=d - 1, max_size=d - 1))
+    line = draw(st.dictionaries(st.integers(-radius, radius), coefficients(), min_size=1, max_size=5))
+    terms = {tuple(rest[:axis] + [k] + rest[axis:]): c for k, c in line.items()}
+    f = FourierElement(d, terms)
+    assume(f.n_modes > 0)
+    J = SymplecticStructure(draw(st.sampled_from(STRUCTURES[d])))
+    return f, J, f.support_radius() + draw(st.integers(1, margin))
 
 
 def sparse_estimate(monkeypatch, f, hbar, J, **kwargs):
@@ -341,6 +362,46 @@ class TestFFTKernel:
         assert_fft_matches_sparse(f, hbar, J, f.support_radius() + margin)
 
 
+class TestLinePath:
+    """An element on one line: ||L|| is one Toeplitz SVD, and no Lanczos step runs."""
+
+    @given(case=line_cases(), hbar=st.sampled_from([0.0, 0.1, 0.37, -0.3, -1.0]))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_dense_norm(self, case, hbar):
+        f, J, window = case
+        est = op_norm_estimate(f, hbar, J, window=window)
+        dense = np.linalg.norm(build_left_multiplication(f, hbar, J, window).toarray(), 2)
+        assert est.op_lower == pytest.approx(dense, rel=1e-12)
+        assert est.op_lower == op_norm_estimate(f, 0.0, J, window=window).op_lower
+        assert est.iterations == 0 and est.residual == 0.0
+
+    def test_two_rows_run_lanczos(self, J):
+        f = e((1, 0)) + 0.5 * e((0, 1)) + e((-1, 1))
+        assert cstar._line_axis(f) is None
+        assert op_norm_estimate(f, 0.1, J, window=8).iterations >= 1
+
+    @pytest.mark.parametrize("hbar", [0.0, 0.1, -0.37])
+    @pytest.mark.parametrize(
+        "d, terms",
+        [
+            (1, {(k,): 1.0 / (1 + k * k) + 0.5j * k for k in range(-3, 4)}),
+            (2, {(k, 1): 2.0 ** -abs(k) * (1 + 1j * k) for k in range(-3, 4)}),
+            (2, {(-2, k): 1.0 + 0.3j * k for k in range(-2, 3)}),
+            (4, {(0, k, 1, -1): 1.0 + k for k in range(-1, 2)}),
+        ],
+        ids=["d1", "row-axis0", "row-axis1", "row-d4"],
+    )
+    def test_agrees_with_the_loop(self, monkeypatch, d, terms, hbar):
+        f = FourierElement(d, terms)
+        J = SymplecticStructure(STRUCTURES[d][1 if d > 1 else 0])  # non-integral where d > 1
+        window = f.support_radius() + 2
+        line = op_norm_estimate(f, hbar, J, window=window)
+        monkeypatch.setattr(cstar, "_line_axis", lambda f: None)
+        loop = op_norm_estimate(f, hbar, J, window=window)
+        assert loop.iterations >= 1
+        assert line.op_lower == pytest.approx(loop.op_lower, rel=1e-9)
+
+
 class TestKernelChoice:
     """`op_norm_estimate` picks its kernel by operation count; both give one estimate."""
 
@@ -365,6 +426,8 @@ class TestKernelChoice:
 
     @pytest.mark.acceptance
     def test_paths_agree_on_acceptance_records(self, monkeypatch):
+        # each difference lies on one line; force the loop, so both kernels run
+        monkeypatch.setattr(cstar, "_line_axis", lambda f: None)
         calls = []
 
         def capture(f, hbar, J, **kwargs):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nctorus.cstar as cstar
 import nctorus.harness as harness
 from nctorus import FourierElement, SymplecticStructure, op_norm_estimate
 from nctorus.cli import main
@@ -139,10 +140,19 @@ class TestConfigValidation:
             {"t_grid": [0.25, -0.5]},
             {"f": [[[0, 1], float("nan"), 0]]},
             {"H": [[[1, 0], 1, 0], [[-1, 0], 1, 0], [[0, 1], 0, float("inf")]]},
+            {"norm_tol": float("nan")},
+            {"alias_tol": float("nan")},
+            {"max_discarded_mass": float("nan")},
+            {"min_fit_order": float("nan")},
+            {"norm_tol": "1e-6"},
+            {"min_fit_order": "0.8"},
+            {"max_discarded_mass": True},
+            {"alias_tol": -1e-6},
         ],
         ids=[
             "str-grid", "J-3x3", "nan-t", "nan-step", "short-band", "float-radius", "empty-H",
-            "negative-t", "nan-f", "inf-H",
+            "negative-t", "nan-f", "inf-H", "nan-norm-tol", "nan-alias-tol", "nan-discarded",
+            "nan-fit-order", "str-norm-tol", "str-fit-order", "bool-discarded", "negative-alias-tol",
         ],
     )
     def test_rejects_bad_input(self, tmp_path, overrides):
@@ -154,7 +164,12 @@ class TestConfigValidation:
         assert main(["scan", str(path)]) == 2
 
     @given(
-        key=st.sampled_from(["hbar_grid", "t_grid", "ratio_band", "trunc_radius", "norm_window"]),
+        key=st.sampled_from(
+            [
+                "hbar_grid", "t_grid", "ratio_band", "trunc_radius", "norm_window",
+                "norm_tol", "alias_tol", "max_discarded_mass", "min_fit_order",
+            ]
+        ),
         value=st.recursive(
             st.none()
             | st.booleans()
@@ -167,7 +182,7 @@ class TestConfigValidation:
     )
     @settings(max_examples=300, deadline=None)
     def test_fuzzed_fields_fail_fast(self, key, value):
-        """Any JSON value in a grid, band or radius is accepted well-formed or raises ConfigError."""
+        """Any JSON value in a grid, band, radius or tolerance is accepted well-formed or raises ConfigError."""
         try:
             cfg = ExperimentConfig.from_dict({"H": SHEAR, "f": OBS, "J": J_STD, key: value})
         except ConfigError:
@@ -183,6 +198,10 @@ class TestConfigValidation:
         assert lo <= hi
         for radius in (cfg.trunc_radius, cfg.norm_window):
             assert isinstance(radius, int) and not isinstance(radius, bool) and radius >= 1
+        for value in (cfg.norm_tol, cfg.alias_tol, cfg.max_discarded_mass, cfg.min_fit_order):
+            assert isinstance(value, (int, float)) and not isinstance(value, bool)
+            assert math.isfinite(value)
+        assert min(cfg.norm_tol, cfg.alias_tol, cfg.max_discarded_mass) >= 0
 
     def test_output_dir_env_override(self, tmp_path, monkeypatch):
         cfg = small_config(output_dir="elsewhere")
@@ -209,6 +228,8 @@ class TestEgorovError:
             return op_norm_estimate(*args, max_iter=2, **kwargs)
 
         monkeypatch.setattr(harness, "op_norm_estimate", capped)
+        # the shear difference lies on one line; force the Lanczos loop
+        monkeypatch.setattr(cstar, "_line_axis", lambda f: None)
         cfg = small_config()
         rec = egorov_error(cfg.observable, cfg.hamiltonian, 0.1, 0.05, J, cfg)
         assert rec.err.iterations == 2
