@@ -41,6 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .deform import _as_hbar
+from .lattice import _distinct
 
 
 @dataclass(frozen=True)
@@ -163,7 +164,7 @@ def fft_plan(f, window):
     nnz = int(np.prod(np.clip(side - np.abs(f.modes), 0, None), axis=1).sum())
     best = None
     for a in range(f.dim):
-        rows = np.unique(np.delete(f.modes, a, axis=1), axis=0).shape[0]
+        rows = _distinct(np.delete(f.modes, a, axis=1)).shape[0]
         n_fft = fft_length(f, window, a)
         count = (rows + 1) * n_fft * math.log2(n_fft) * side ** (f.dim - 1)
         if best is None or count < best[0]:

@@ -13,7 +13,10 @@ generator of both evolutions: F -> (pi/(i hbar)) [H, F]_h as a numpy
 gather operator on a finite mode set, whose hbar = 0 limit is the
 Liouville operator F -> {H, F}.  `evolve` applies its exponential with a
 Chebyshev-Bessel series, for the quantum flow and the classical
-transport alike.
+transport alike.  Only the generator's weights depend on hbar, so
+`_evolve_column` evolves one f for several hbar at one t as one block:
+one mode set, one gather layout and one recurrence, each row the result
+`evolve` gives for its hbar alone, to the bit.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .lattice import (
     _box_keys,
     _coalesce,
     _convolve,
+    _distinct,
     partial_derivative,
     pointwise_mul,
 )
@@ -295,10 +299,10 @@ def _reachable_modes(start, shifts, radius):
     shifts = shifts[shifts.any(axis=1)]
     # the representative of +-s whose first nonzero entry is positive
     lead = shifts[np.arange(shifts.shape[0]), (shifts != 0).argmax(axis=1)]
-    shifts = np.unique(shifts * np.sign(lead)[:, None], axis=0)
+    shifts = _distinct(shifts * np.sign(lead)[:, None])
     # keys are linear in the mode, so m + k s has the key key(m) + k key(s) inside the box
     steps = _box_keys(shifts, (0,) * d, box)
-    keys = front = np.unique(_mode_keys(start, radius))
+    keys = front = _distinct(_mode_keys(start, radius))
     expanded = [keys[:0]] * shifts.shape[0]  # sorted first-point keys of each shift's chains
     while front.size:
         modes = np.stack(np.unravel_index(front, box), axis=1) - radius
@@ -312,65 +316,79 @@ def _reachable_modes(start, shifts, radius):
             length = hi[at] - lo[at] + 1
             k = np.arange(length.sum()) - np.repeat(np.cumsum(length) - length, length)
             chains.append(np.repeat(first, length) + k * step)
-        found = np.unique(np.concatenate(chains))
+        found = _distinct(np.concatenate(chains))
         front = found[~_in_sorted(found, keys)]
         keys = np.sort(np.concatenate([keys, front]))
     return np.stack(np.unravel_index(keys, box), axis=1) - radius
 
 
 class _GatherOperator:
-    """A linear map on coefficient vectors: (A x)[i] = sum_k weight[k, i] x[source[k, i]].
+    """A block of m linear maps on coefficient vectors over n modes, one per row.
 
-    `source` and `weight` are (terms, n) arrays, one row per term; a
-    slot with no term carries weight 0.  Each entry of A x is summed
-    from 0.0 over k in row order, so the rows fix the rounding, and for
-    finite x a slot of weight 0 adds nothing to it.  So a row of zeros
-    is skipped, and a row whose nonzero slots i all read x at i - o for
-    one offset o reads x as a shifted slice over those slots instead of
-    gathering it; on a box or a line of modes every row does.  Each
-    product is rounded as a compiled loop rounds (ar br - ai bi, ar bi
-    + ai br): numpy's complex multiply may fuse one of its two products
-    into the other, which is exact when the weight has a zero real or
-    imaginary part, so a row with weights of both parts nonzero is
-    applied as the sum of its real and imaginary parts.  The matvec
+    (A x)_i[j] = sum_k weight[k, i, j] x_i[source[k, j]]: `source` is a
+    (terms, n) array that the rows share and `weight` a (terms, m, n)
+    one; a slot with no term carries weight 0.  A vector of the block is
+    flat, row i at [i n, (i + 1) n), so A is the block-diagonal map
+    diag(A_1, ..., A_m) on m n entries, and each term's weights are one
+    flat vector too.  Each entry of A x is summed from 0.0 over k in term
+    order, so the terms fix the rounding, and for finite x a slot of
+    weight 0 adds nothing to it.  So a term of zeros in every row is
+    skipped, and a term whose nonzero slots j all read x_i at j - o for
+    one offset o reads the flat x as one shifted slice over the block
+    instead of gathering it (the slots it reads across a row boundary
+    have weight 0); on a box or a line of modes every term does.  Row i
+    of A x is thus A_i x_i to the bit, whatever the other rows hold.
+    Each product is rounded as a compiled loop rounds (ar br - ai bi, ar
+    bi + ai br): numpy's complex multiply may fuse one of its two
+    products into the other, which is exact when the weight has a zero
+    real or imaginary part, so a term with weights of both parts nonzero
+    is applied as the sum of its real and imaginary parts.  The matvec
     works in buffers of the operator, so an operator serves one caller
     at a time.
     """
 
-    def __init__(self, source, weight, terms=None):
+    def __init__(self, source, weight, layout=None):
         self.source = source
         self.weight = weight
-        n = weight.shape[1]
-        if terms is None:
-            terms = []
-            slots = np.arange(n)
-            for src, row in zip(source, weight):
-                live = row != 0.0
+        if layout is None:
+            # (term, offset or None for a gather, split) of each term nonzero in some row
+            layout = []
+            slots = np.arange(weight.shape[2])
+            for k, (src, w) in enumerate(zip(source, weight)):
+                live = (w != 0.0).any(axis=0)
                 if not live.any():
                     continue
                 offsets = slots[live] - src[live]
-                if offsets.min() == offsets.max():
-                    o = int(offsets[0])
-                    span = slice(max(o, 0), n + min(o, 0))
-                    read = slice(span.start - o, span.stop - o)
-                else:
-                    span, read = slice(0, n), src
-                row = row[span]
-                if np.all((row.real == 0.0) | (row.imag == 0.0)):
-                    terms.append((span, read, row, None))
-                else:
-                    terms.append((span, read, row.real.astype(row.dtype), 1j * row.imag))
-        self._terms = terms
-        self._gathered = np.empty(n, dtype=weight.dtype)
-        self._imag_part = np.empty(n, dtype=weight.dtype)
+                o = int(offsets[0]) if offsets.min() == offsets.max() else None
+                layout.append((k, o, not np.all((w.real == 0.0) | (w.imag == 0.0))))
+        self._layout = layout
+        self._terms = None  # built by the first matvec
+
+    def _flat_terms(self):
+        """(span, read, re, im, gathered, imag_part) of each term of the layout, over the flat block."""
+        _, m, n = self.weight.shape
+        self._gathered = np.empty(m * n, dtype=self.weight.dtype)
+        self._imag_part = np.empty(m * n, dtype=self.weight.dtype)
+        terms = []
+        for k, o, split in self._layout:
+            if o is None:
+                span, read = slice(0, m * n), (self.source[k] + n * np.arange(m)[:, None]).ravel()
+            else:
+                span = slice(max(o, 0), m * n + min(o, 0))
+                read = slice(span.start - o, span.stop - o)
+            w = self.weight[k].reshape(-1)[span]
+            re, im = (w.real.astype(w.dtype), 1j * w.imag) if split else (w, None)
+            terms.append((span, read, re, im, self._gathered[span], self._imag_part[span]))
+        return terms
 
     def matvec(self, x, out=None):
-        """A x, written into `out` when given; with `out`, no array is allocated."""
+        """A x for a flat block x, written into `out` when given; with `out`, no array is allocated."""
+        if self._terms is None:
+            self._terms = self._flat_terms()
         if out is None:
             out = np.empty_like(self._gathered)
         out.fill(0.0)
-        for span, read, re, im in self._terms:
-            g, h = self._gathered[span], self._imag_part[span]
+        for span, read, re, im, g, h in self._terms:
             if isinstance(read, slice):
                 xs = x[read]
             else:
@@ -385,37 +403,43 @@ class _GatherOperator:
         return out
 
     def column_l1(self):
-        """The l1 norm of each column of A, summed from 0.0 over the terms in reverse order.
+        """The l1 norm of each column of the block, flat, each summed from 0.0 over the terms in reverse order.
 
-        For `_evolution_generator` that is ascending row order, as in CSR.
+        For `_Generator` that is ascending row order, as in CSR.
         """
-        n = self.weight.shape[1]
-        return np.bincount(
-            self.source[::-1].ravel(), np.abs(self.weight[::-1]).ravel(), minlength=n
-        )
+        _, m, n = self.weight.shape
+        index = self.source[::-1, None, :] + n * np.arange(m)[:, None]
+        return np.bincount(index.ravel(), np.abs(self.weight[::-1]).ravel(), minlength=m * n)
 
     def scaled(self, factor):
-        """factor * A for a real `factor`; the copy shares `source` and the reads of A.
+        """The block with row i times factor[i], for real factors (or one for every row).
 
-        A real factor scales each part of a weight on its own, so the
-        parts of a split row scale to the parts of the scaled row.
+        The copy shares `source` and the layout of A.  A real factor
+        scales each part of a weight on its own, so the parts of a split
+        term scale to the parts of the scaled term.
         """
-        terms = [
-            (span, read, re * factor, None if im is None else im * factor)
-            for span, read, re, im in self._terms
-        ]
-        return _GatherOperator(self.source, self.weight * factor, terms)
+        factor = np.broadcast_to(np.asarray(factor, dtype=np.float64), self.weight.shape[1:2])
+        return _GatherOperator(self.source, self.weight * factor[:, None], self._layout)
+
+    def take(self, rows):
+        """The block of rows `rows` (an index array, or a slice, which copies nothing) of A.
+
+        It shares the layout of A: a term that is zero in every row taken
+        adds nothing.
+        """
+        return _GatherOperator(self.source, self.weight[:, rows], self._layout)
 
     def toarray(self):
-        """A as a dense (n, n) array."""
-        n = self.weight.shape[1]
-        dense = np.zeros((n, n), dtype=self.weight.dtype)
-        np.add.at(dense, (np.arange(n), self.source), self.weight)
+        """The block-diagonal A as a dense (m n, m n) array."""
+        _, m, n = self.weight.shape
+        rows = n * np.arange(m)[:, None]
+        dense = np.zeros((m * n, m * n), dtype=self.weight.dtype)
+        np.add.at(dense, (np.arange(n) + rows, self.source[:, None, :] + rows), self.weight)
         return dense
 
 
-def _evolution_generator(H, hbar, J, modes):
-    """F -> (pi/(i hbar)) [H, F]_h on coefficient vectors over `modes`, as a `_GatherOperator`.
+class _Generator:
+    """F -> (pi/(i hbar)) [H, F]_h on coefficient vectors over `modes`, set up once for every hbar.
 
     `modes` must be nonempty and sorted lexicographically.  The column
     of mode r holds c_p w(p, r) in the row of r + p for each mode p of H,
@@ -424,51 +448,76 @@ def _evolution_generator(H, hbar, J, modes):
     Liouville operator F -> {H, F}; targets outside `modes` and entries
     with w = 0 are left out.  For real H the operator is anti-Hermitian.
 
-    Term k of the operator is mode p_k of H, taken in reverse: row m
-    then sums its sources m - p_k in ascending (lexicographic) order,
-    and a column sums its targets r + p_k in ascending order too, which
-    is the order of a canonical compressed sparse matrix, so the matvec
-    and the column norms are those of one to the bit.  A slot whose
-    source lies outside `modes`, or whose entry has w = 0, has weight 0
-    (up to sign), which adds nothing to a sum that starts from 0.0.
+    Only w depends on hbar.  The constructor finds, for each target mode
+    m and each mode p of H, the source r = m - p, whether r lies outside
+    `modes`, and the pairing p.Jr; `operator` turns them into the
+    weights of one generator per hbar.  Term k of the operator is mode
+    p_k of H, taken in reverse: row m then sums its sources m - p_k in
+    ascending (lexicographic) order, and a column sums its targets r +
+    p_k in ascending order too, which is the order of a canonical
+    compressed sparse matrix, so the matvec and the column norms are
+    those of one to the bit.  A slot whose source lies outside `modes`,
+    or whose entry has w = 0, has weight 0 (up to sign), which adds
+    nothing to a sum that starts from 0.0.
     """
-    n, d = modes.shape
-    # a key box wide enough for every source, so keys never wrap
-    radius = int(np.abs(modes).max()) + H.support_radius()
-    mode_keys = _mode_keys(modes, radius)
-    pairing = (H.modes @ J.J) @ modes.T  # (nH, n) of p . (J r)
-    if hbar == 0.0:
-        scale, shape = -4.0 * np.pi**2, pairing
-    else:
-        shape = _on_pairings(lambda k: np.sin(2.0 * np.pi * hbar * k), pairing, J)
-        scale = -2.0 * np.pi / hbar
-    data = (H.coeffs[:, None] * scale * shape)[::-1]  # column r: the entries c_p w(p, r)
-    # keys are linear in the mode, so the source r - p of mode r has the key key(r) - key(p)
-    shifts = _box_keys(H.modes[::-1], (0,) * d, (2 * radius + 1,) * d)
-    source_keys = mode_keys[None, :] - shifts[:, None]
-    source = np.searchsorted(mode_keys, source_keys).clip(max=n - 1)
-    weight = np.take_along_axis(data, source, axis=1)
-    weight[mode_keys[source] != source_keys] = 0.0
-    return _GatherOperator(source, weight)
+
+    def __init__(self, H, J, modes):
+        n, d = modes.shape
+        # a key box wide enough for every source, so keys never wrap
+        radius = int(np.abs(modes).max()) + H.support_radius()
+        mode_keys = _mode_keys(modes, radius)
+        pairing = (H.modes @ J.J) @ modes.T  # (nH, n) of p . (J r)
+        # keys are linear in the mode, so the source r - p of mode r has the key key(r) - key(p)
+        shifts = _box_keys(H.modes[::-1], (0,) * d, (2 * radius + 1,) * d)
+        source_keys = mode_keys[None, :] - shifts[:, None]
+        self.source = np.searchsorted(mode_keys, source_keys).clip(max=n - 1)
+        self.missing = mode_keys[self.source] != source_keys
+        self.coeffs = H.coeffs[::-1, None, None]
+        self.pairing = np.take_along_axis(pairing[::-1], self.source, axis=1)
+        # with a table (`_on_pairings`), the sines of each hbar are taken once per integer
+        table_range = _table_range(pairing, J)
+        self.table = None
+        if table_range is not None:
+            lo, hi = table_range
+            self.table = np.arange(lo, hi + 1, dtype=np.float64), self.pairing.astype(np.int64) - lo
+
+    def operator(self, hbars):
+        """The generators at `hbars`, row i of the block at hbars[i], as a `_GatherOperator`."""
+        shape = np.empty((self.pairing.shape[0], len(hbars), self.pairing.shape[1]))
+        scale = np.empty(len(hbars))
+        for i, hbar in enumerate(hbars):
+            if hbar == 0.0:
+                shape[:, i] = self.pairing
+                scale[i] = -4.0 * np.pi**2
+            elif self.table is None:
+                shape[:, i] = np.sin(2.0 * np.pi * hbar * self.pairing)
+                scale[i] = -2.0 * np.pi / hbar
+            else:
+                integers, index = self.table
+                np.take(np.sin(2.0 * np.pi * hbar * integers), index, out=shape[:, i])
+                scale[i] = -2.0 * np.pi / hbar
+        weight = self.coeffs * scale[:, None] * shape
+        np.copyto(weight, 0.0, where=self.missing[:, None, :])
+        return _GatherOperator(self.source, weight)
 
 
-def _evolution_system(f, H, hbar, J, trunc_radius):
-    """The generator of the evolution of nonzero f, set up for a solver.
+def _evolution_plan(f, H, J, trunc_radius):
+    """The hbar-independent set-up of the evolution of nonzero f.
 
-    Returns `(modes, L, v, outside)`: the modes reachable from supp f by
+    Returns `(modes, G, v, outside)`: the modes reachable from supp f by
     adding modes of H within radius max(trunc_radius, radius of f) +
-    4 rH (rH the support radius of H, at least 1), the generator
-    `_evolution_generator(H, hbar, J, modes)`, f's coefficient vector
-    over `modes`, and the indices of the modes with |r|_inf >
-    trunc_radius, whose mass the caller discards.
+    4 rH (rH the support radius of H, at least 1), the `_Generator` of
+    H on them, f's coefficient vector over `modes`, and the indices of
+    the modes with |r|_inf > trunc_radius, whose mass the caller
+    discards.
     """
     reach = max(trunc_radius, f.support_radius()) + 4 * max(H.support_radius(), 1)
     modes = _reachable_modes(f.modes, H.modes, reach)
-    L = _evolution_generator(H, hbar, J, modes)
+    G = _Generator(H, J, modes)
     v = np.zeros(modes.shape[0], dtype=np.complex128)
     v[np.searchsorted(_mode_keys(modes, reach), _mode_keys(f.modes, reach))] = f.coeffs
     outside = np.flatnonzero(np.abs(modes).max(axis=1) > trunc_radius)
-    return modes, L, v, outside
+    return modes, G, v, outside
 
 
 #: Bound on the l1 weight 2 sum_{k >= K} |J_k(t rho)| of the Chebyshev
@@ -496,8 +545,8 @@ def _check_series_length(z):
 def _column_l1(H, hbar, J, modes):
     """The l1 norm of the generator's column at each of `modes`, every target kept.
 
-    The entries are those of `_evolution_generator`.  On the mode set of
-    `_evolution_system` the columns of supp f keep all their targets, so
+    The entries are those of `_Generator`.  On the mode set of
+    `_evolution_plan` the columns of supp f keep all their targets, so
     their largest norm is a lower bound on ||L||_1 that needs no mode set.
     """
     pairing = (H.modes @ J.J) @ modes.T
@@ -526,52 +575,129 @@ def bessel_j(z):
     J_{k-1} = (2k/z) J_k - J_{k+1} runs down from J_{M+1} = 0, J_M = 1
     with M = z + 20 z^(1/3) + 30, past the Airy turning point at k ~ z
     far enough that the starting error is below roundoff; the result is
-    normalised by J_0 + 2 sum_k J_2k = 1.
+    normalised by J_0 + 2 sum_k J_2k = 1.  The recurrence runs on Python
+    floats, the same double operations as on numpy scalars at a third of
+    the cost; each row of an evolution block needs its own.
     """
+    z = float(z)
     m = int(z + 20.0 * np.cbrt(z) + 30.0)
-    j = np.zeros(m + 2)
+    j = [0.0] * (m + 2)
     j[m] = 1.0
     for k in range(m, 0, -1):
         j[k - 1] = (2.0 * k / z) * j[k] - j[k + 1]
         if abs(j[k - 1]) > 1e250:  # only ratios matter before the normalisation
-            j[k - 1 :] *= 1e-250
+            j[k - 1 :] = [x * 1e-250 for x in j[k - 1 :]]
+    j = np.array(j)
     return j[: m + 1] / (j[0] + 2.0 * j[2::2].sum())
 
 
 def _chebyshev_propagate(L, v, t):
-    """exp(t L) v for anti-Hermitian L, the number of series terms, and the tail weight.
+    """exp(t L_i) v for each row i of a block L of anti-Hermitian L_i: the rows of an (m, n) array.
 
-    With rho = ||L||_1, which bounds the spectrum of the normal L, the
-    Jacobi-Anger expansion (Tal-Ezer and Kosloff, J. Chem. Phys. 81,
-    1984) gives exp(t L) = J_0(z) + 2 sum_k J_k(z) psi_k(A), z = |t| rho,
-    A = sign(t) L / rho, psi_0 = 1, psi_1 = A, psi_{k+1} = 2 A psi_k +
-    psi_{k-1}; on the spectrum of A, psi_k(A) is i^k T_k of a Hermitian
-    matrix of norm <= 1, so the recurrence is stable.  The series stops
-    at the first K whose tail weight 2 sum_{k >= K} |J_k(z)| is below
-    `CHEBYSHEV_TAIL`; that weight bounds the l2 norm of the omitted
-    terms by weight * ||v||_2.
+    Also returns, per row, the number of series terms and the tail
+    weight.  With rho = ||L_i||_1, which bounds the spectrum of the
+    normal L_i, the Jacobi-Anger expansion (Tal-Ezer and Kosloff, J.
+    Chem. Phys. 81, 1984) gives exp(t L_i) = J_0(z) + 2 sum_k J_k(z)
+    psi_k(A), z = |t| rho, A = sign(t) L_i / rho, psi_0 = 1, psi_1 = A,
+    psi_{k+1} = 2 A psi_k + psi_{k-1}; on the spectrum of A, psi_k(A) is
+    i^k T_k of a Hermitian matrix of norm <= 1, so the recurrence is
+    stable.  Row i stops at the first K_i whose tail weight 2 sum_{k >=
+    K_i} |J_k(z)| is below `CHEBYSHEV_TAIL`; that weight bounds the l2
+    norm of the omitted terms by weight * ||v||_2.  A row with z = 0 is
+    v, with 0 terms.
+
+    One recurrence advances the other rows, each with its own
+    coefficients.  They are ordered by K_i, most first, and the block
+    shrinks to the rows still running as each row reaches its K_i.  A
+    row's arithmetic does not depend on the other rows, so each row is
+    what a block of that row alone returns, to the bit, and the block
+    does the work of the rows run one by one.
     """
-    rho = float(L.column_l1().max(initial=0.0))
+    m, n = L.weight.shape[1:]
+    rho = L.column_l1().reshape(m, n).max(axis=1, initial=0.0)
     z = abs(t) * rho
-    _check_series_length(z)
-    if z == 0.0:
-        return v.copy(), 0, 0.0
-    coeffs = bessel_j(z)
-    tail = 2.0 * np.cumsum(np.abs(coeffs)[::-1])[::-1]
-    terms = max(int(np.argmax(tail <= CHEBYSHEV_TAIL)), 2)
-    A = L.scaled(math.copysign(1.0, t) / rho)
-    prev, cur = v.copy(), A.matvec(v)
-    out = coeffs[0] * prev + (2.0 * coeffs[1]) * cur
-    nxt, term = np.empty_like(v), np.empty_like(v)
-    for c in coeffs[2:terms]:
-        # psi_{k+1} = 2 A psi_k + psi_{k-1} and out += 2 c psi_{k+1}, in three rotating buffers
-        A.matvec(cur, out=nxt)
-        nxt *= 2.0
-        nxt += prev
-        np.multiply(nxt, 2.0 * c, out=term)
-        out += term
-        prev, cur, nxt = cur, nxt, prev
-    return out, terms, float(tail[terms])
+    for zi in z.tolist():
+        _check_series_length(zi)
+    out = np.empty((m, n), dtype=v.dtype)
+    terms = np.zeros(m, dtype=np.int64)
+    tails = np.zeros(m)
+    coeffs = {}
+    for i in range(m):
+        if z[i] == 0.0:
+            out[i] = v
+            continue
+        c = bessel_j(z[i])
+        tail = 2.0 * np.cumsum(np.abs(c)[::-1])[::-1]
+        terms[i] = max(int(np.argmax(tail <= CHEBYSHEV_TAIL)), 2)
+        tails[i] = tail[terms[i]]
+        coeffs[i] = c[: terms[i]]
+    if not coeffs:
+        return out, terms, tails
+    order = np.argsort(-terms, kind="stable")[: len(coeffs)]  # the running rows, most terms first
+    K = terms[order]
+    first = np.array([coeffs[i][:1] for i in order.tolist()])
+    twice = np.zeros((K[0], order.size, 1))  # 2 J_k(z) of each running row, 0 past its last term
+    for j, i in enumerate(order.tolist()):
+        twice[: K[j], j, 0] = 2.0 * coeffs[i]
+    if not np.array_equal(order, np.arange(m)):
+        L = L.take(order)
+    A = L.scaled(math.copysign(1.0, t) / rho[order])
+    prev = np.tile(v, (order.size, 1))
+    cur = np.empty_like(prev)
+    A.matvec(prev.reshape(-1), out=cur.reshape(-1))
+    acc = first * prev + twice[1] * cur
+    nxt, term = np.empty_like(prev), np.empty_like(prev)
+    done, p = 2, order.size
+    while True:
+        stop = K[p - 1]  # the fewest terms of the rows still running
+        for c in twice[done:stop, :p]:
+            # psi_{k+1} = 2 A psi_k + psi_{k-1} and acc += 2 c psi_{k+1}, in three rotating buffers
+            A.matvec(cur.reshape(-1), out=nxt.reshape(-1))
+            nxt *= 2.0
+            nxt += prev
+            np.multiply(nxt, c, out=term)
+            acc += term
+            prev, cur, nxt = cur, nxt, prev
+        done, q = stop, int(np.searchsorted(-K, -stop))
+        out[order[q:p]] = acc[q:p]
+        if q == 0:
+            return out, terms, tails
+        p = q
+        A = A.take(slice(0, p))
+        prev, cur, nxt, term, acc = prev[:p], cur[:p], nxt[:p], term[:p], acc[:p]
+
+
+def _evolve_column(f, H, hbars, t, J, trunc_radius=32):
+    """`evolve(f, H, hbar, t, J, trunc_radius)` for each hbar of `hbars`, solved as one block.
+
+    The evolutions share everything but the generator's weights: the
+    mode set, its gather layout (`_evolution_plan`) and one Chebyshev
+    recurrence (`_chebyshev_propagate`), each row with its own
+    generator, series argument and number of terms.  Returns one
+    `EvolutionResult` per hbar, each what `evolve` returns for it alone,
+    to the bit; hbar = 0 gives the classical transport.  A t whose
+    series would pass `MAX_SERIES_Z` at any hbar raises `ConfigError`
+    before the mode set is built.
+    """
+    if not H.is_real():
+        raise RealityError("Hamiltonian fails the reality test")
+    if f.n_modes == 0:
+        return [EvolutionResult(element=f, discarded_mass=0.0, steps=0) for _ in hbars]
+    hbars = [_as_hbar(h) for h in hbars]
+    # refuse a runaway t before the mode set, which grows with the radius, is built
+    for h in hbars:
+        check_evolution_time(f, H, h, t, J)
+    modes, G, v, outside = _evolution_plan(f, H, J, trunc_radius)
+    L = G.operator(hbars)
+    del G  # its pairings need not stay through the series
+    V, terms, tails = _chebyshev_propagate(L, v, t)
+    results = []
+    for row, steps, tail in zip(V, terms.tolist(), tails.tolist()):
+        discarded = float(np.abs(row[outside]).sum()) + math.sqrt(row.size) * tail * f.l2()
+        row[outside] = 0.0
+        element = FourierElement._raw(f.dim, *_coalesce(f.dim, modes, row))
+        results.append(EvolutionResult(element=element, discarded_mass=discarded, steps=steps))
+    return results
 
 
 def evolve(f, H, hbar, t, J, trunc_radius=32):
@@ -579,16 +705,17 @@ def evolve(f, H, hbar, t, J, trunc_radius=32):
 
     L_hbar F = (pi/(i hbar)) [H, F]_h, and L_0 F = {H, F}, is built on
     the modes reachable from supp f by adding modes of H within radius
-    max(trunc_radius, radius of f) + 4 rH (`_evolution_system`), as a
+    max(trunc_radius, radius of f) + 4 rH (`_evolution_plan`), as a
     `_GatherOperator`: per mode, the indices and weights of its sources
     over the modes of H, summed in the order of a canonical sparse
     matrix, so the result is that of the sparse matrix to the bit.  It
     needs numpy only; no scipy module is loaded.  For real H it is
     anti-Hermitian, and its exponential is applied by a Chebyshev-Bessel
     series truncated below `CHEBYSHEV_TAIL`, with no step size and no
-    randomness.  A series argument z = |t| ||L||_1 above `MAX_SERIES_Z`
-    raises `ConfigError`; a t far past that limit is refused before the
-    mode set is built.
+    randomness.  This is the one-row case of `_evolve_column`, which
+    solves several hbar at one t as one block.  A series argument z =
+    |t| ||L||_1 above `MAX_SERIES_Z` raises `ConfigError`; a t far past
+    that limit is refused before the mode set is built.
 
     `discarded_mass` bounds, in l1 and hence in every C*-norm, what the
     result leaves out of exp(t L_hbar) f on the mode set: the l1 mass at
@@ -599,16 +726,5 @@ def evolve(f, H, hbar, t, J, trunc_radius=32):
     differs from the closed form by l1 9.5e-15 to 7.9e-14, against a
     reported 3.2e-15 to 1.3e-14.  `steps` is the number of series terms.
     """
-    if not H.is_real():
-        raise RealityError("Hamiltonian fails the reality test")
-    if f.n_modes == 0:
-        return EvolutionResult(element=f, discarded_mass=0.0, steps=0)
-    h = _as_hbar(hbar)
-    # refuse a runaway t before the mode set, which grows with the radius, is built
-    check_evolution_time(f, H, h, t, J)
-    modes, L, v, outside = _evolution_system(f, H, h, J, trunc_radius)
-    v, terms, tail = _chebyshev_propagate(L, v, t)
-    discarded = float(np.abs(v[outside]).sum()) + math.sqrt(v.size) * tail * f.l2()
-    v[outside] = 0.0
-    element = FourierElement._raw(f.dim, *_coalesce(f.dim, modes, v))
-    return EvolutionResult(element=element, discarded_mass=discarded, steps=terms)
+    return _evolve_column(f, H, (hbar,), t, J, trunc_radius)[0]
+

@@ -26,8 +26,8 @@ from .cstar import NormEstimate, op_norm_estimate
 from .deform import (
     PlanckParam,
     SymplecticStructure,
+    _evolve_column,
     check_evolution_time,
-    evolve,
     one_sided_residual,
     scaled_commutator_residual,
 )
@@ -35,7 +35,7 @@ from .errors import ConfigError
 # `pullback` and `heisenberg_evolve` are not called here; they stay
 # importable from this module because the benchmark tracer
 # (perfbench/tracing.py) wraps them by name
-from .flow import classical_evolve, hamiltonian_vector_field, pullback  # noqa: F401
+from .flow import hamiltonian_vector_field, pullback  # noqa: F401
 from .lattice import FourierElement
 from .quantum import heisenberg_evolve  # noqa: F401
 
@@ -59,7 +59,9 @@ class ExperimentConfig:
 
     `hamiltonian` and `observable` use the element literal form
     ([[p...], re, im] triples) in config files; hbar values must be
-    nonzero and inside [-1, 1].  `alias_tol`, `norm_tol` and
+    nonzero and inside [-1, 1], with no |hbar| twice: a record is even
+    in hbar (L_-hbar = L_hbar, and ||.||_-hbar = ||.||_hbar), so hbar and
+    -hbar would be one point of the fit.  `alias_tol`, `norm_tol` and
     `max_discarded_mass` must be finite and >= 0, `min_fit_order`
     finite; a NaN would switch its gate off.
     """
@@ -90,6 +92,8 @@ class ExperimentConfig:
         for h in self.hbar_grid:
             if h == 0.0 or not -1.0 <= h <= 1.0:
                 raise ConfigError(f"hbar {h} must be nonzero and within [-1, 1]")
+        if len({abs(h) for h in self.hbar_grid}) < len(self.hbar_grid):
+            raise ConfigError("hbar_grid must not repeat an |hbar|")
         if any(t < 0.0 for t in self.t_grid):
             raise ConfigError("t_grid entries must be >= 0")
         if len(self.ratio_band) != 2 or self.ratio_band[0] > self.ratio_band[1]:
@@ -150,10 +154,16 @@ class ExperimentConfig:
 class ErrorRecord:
     """One (hbar, t) point of the convergence scan.
 
-    `quantum_s`, `classical_s` and `norm_s` are the seconds this record
-    spent in each stage (`classical_s` is ~0 when the classical side
-    came from the per-t cache); `quantum_terms` and `classical_terms`
-    are the series terms of each side.  None of them enters the CSV.
+    `quantum_s`, `classical_s` and `norm_s` are the seconds charged to
+    each stage of this record, and `wall_time` includes them.  Both
+    evolutions of a record are rows of one block solve (a scan's t
+    column, or [hbar, 0] for a lone record), whose time is shared out by
+    series terms: each row is charged its terms over the terms of the
+    block, and all rows alike when no row takes a term.  In a scan the
+    classical row is charged to the column's first record (largest
+    |hbar|), and the others read `classical_s` 0.  `quantum_terms` and
+    `classical_terms` are the series terms of each side.  None of them
+    enters the CSV.
     """
 
     hbar: float
@@ -176,34 +186,43 @@ def evolution_radius(base_radius, t, phi_scale):
     return base_radius + math.ceil(8.0 * abs(t) * phi_scale)
 
 
-def egorov_error(f, H, hbar, t, J, config, _classical_cache=None):
+def _solve_column(f, H, hbars, t, J, radius):
+    """`_evolve_column` at `hbars`, with the seconds of the solve charged to each row by series terms."""
+    start = time.perf_counter()
+    results = _evolve_column(f, H, hbars, t, J, trunc_radius=radius)
+    elapsed = time.perf_counter() - start
+    terms = [r.steps for r in results]
+    total = sum(terms)
+    if total == 0:
+        return results, [elapsed / len(results)] * len(results)
+    return results, [elapsed * k / total for k in terms]
+
+
+def egorov_error(f, H, hbar, t, J, config, _column=None):
     """Norm-estimated error between quantum and classical evolution.
 
-    Computes Q = exp(t L_hbar) f and C = f o beta_t = exp(t L_0) f with
-    the one series engine (`evolve`, and `classical_evolve` at hbar = 0)
-    at a widened evolution radius, restricts the difference to the norm
-    window, and returns its sandwich estimate with truncation metadata
-    and per-stage timings.  C depends on t only, so `_classical_cache`
-    may carry it from one hbar to the next.  Truncation beyond the
-    configured thresholds, or a norm residual above `norm_tol`, flags
-    the record invalid rather than dropping it.  `config.ode_step` is
-    not read: neither side takes time steps.
+    Computes Q = exp(t L_hbar) f and C = f o beta_t = exp(t L_0) f as
+    the two rows of one block of the series engine (`_evolve_column` at
+    [hbar, 0]) at a widened evolution radius, restricts the difference to
+    the norm window, and returns its sandwich estimate with truncation
+    metadata and per-stage timings.  `scan` solves each t column for all
+    its hbar at once and passes this record's part as `_column`: (Q, C,
+    quantum_s, classical_s), the last two the seconds of the solve it
+    charges to this record.  Truncation beyond the configured thresholds,
+    or a norm residual above `norm_tol`, flags the record invalid rather
+    than dropping it.  `config.ode_step` is not read: neither side takes
+    time steps.
     """
     start = time.perf_counter()
-    phi = hamiltonian_vector_field(H, J)
-    n_ev = evolution_radius(config.trunc_radius, t, phi.max_component_l1())
-
-    quantum_start = time.perf_counter()
-    Q = evolve(f, H, hbar, t, J, trunc_radius=n_ev)
-    classical_start = time.perf_counter()
-    notes = []
-    if _classical_cache is not None and t in _classical_cache:
-        C = _classical_cache[t]
+    if _column is None:
+        phi = hamiltonian_vector_field(H, J)
+        n_ev = evolution_radius(config.trunc_radius, t, phi.max_component_l1())
+        (Q, C), (quantum_s, classical_s) = _solve_column(f, H, (hbar, 0.0), t, J, n_ev)
+        charged = 0.0  # the solve ran inside this call
     else:
-        C = classical_evolve(f, H, t, J, trunc_radius=n_ev)
-        if _classical_cache is not None:
-            _classical_cache[t] = C
-    classical_end = time.perf_counter()
+        Q, C, quantum_s, classical_s = _column
+        charged = quantum_s + classical_s
+    notes = []
     if C.discarded_mass > config.alias_tol:
         notes.append("alias tolerance exceeded")
 
@@ -228,11 +247,11 @@ def egorov_error(f, H, hbar, t, J, config, _classical_cache=None):
         err=est,
         discarded_mass=discarded,
         window_dropped=window_dropped,
-        wall_time=time.perf_counter() - start,
+        wall_time=time.perf_counter() - start + charged,
         valid=not notes,
         note="; ".join(notes),
-        quantum_s=classical_start - quantum_start,
-        classical_s=classical_end - classical_start,
+        quantum_s=quantum_s,
+        classical_s=classical_s,
         norm_s=norm_end - norm_start,
         quantum_terms=Q.steps,
         classical_terms=C.steps,
@@ -346,34 +365,31 @@ class ScanResult:
 def scan(config, write=True):
     """Run the full (hbar, t) grid and assemble the verdict.
 
-    The classical evolution at each t is computed once and shared
-    across hbar values.  A largest t whose series would pass
-    `MAX_SERIES_Z` raises `ConfigError` before any record is computed.
-    Returns a `ScanResult`; with `write=True` the CSV, JSON summary and
+    Each t column is solved as one block (`_evolve_column` at the grid's
+    hbar, largest |hbar| first, and at 0 for the classical side), and
+    each record gets its quantum row and the shared classical one.
+    Records are even in hbar, so each column is ordered and fitted by
+    |hbar|.  A largest t whose series would pass `MAX_SERIES_Z` raises
+    `ConfigError` before any record is computed.  Returns a
+    `ScanResult`; with `write=True` the CSV, JSON summary and
     gnuplot-ready err-vs-hbar columns are written to the configured
     output directory.
     """
+    f, H, J = config.observable, config.hamiltonian, config.J
     # the hbar = 0 column norms bound those of every hbar, as
     # |sin(2 pi hbar k)| / |hbar| <= 2 pi |k|, so one check covers both sides
-    check_evolution_time(config.observable, config.hamiltonian, 0.0, max(config.t_grid), config.J)
+    check_evolution_time(f, H, 0.0, max(config.t_grid), J)
+    phi_scale = hamiltonian_vector_field(H, J).max_component_l1()
+    hbars = sorted(config.hbar_grid, key=abs, reverse=True)  # largest |hbar| first
     records = []
-    cache = {}
     for t in sorted(config.t_grid):
-        for h in sorted(config.hbar_grid, reverse=True):
-            records.append(
-                egorov_error(
-                    config.observable,
-                    config.hamiltonian,
-                    h,
-                    t,
-                    config.J,
-                    config,
-                    _classical_cache=cache,
-                )
-            )
+        n_ev = evolution_radius(config.trunc_radius, t, phi_scale)
+        (*quantum, C), (*quantum_s, classical_s) = _solve_column(f, H, (*hbars, 0.0), t, J, n_ev)
+        for j, (h, Q, q_s) in enumerate(zip(hbars, quantum, quantum_s)):
+            column = (Q, C, q_s, classical_s if j == 0 else 0.0)
+            records.append(egorov_error(f, H, h, t, J, config, _column=column))
     records.sort(key=lambda r: (r.hbar, r.t))
 
-    hbars = sorted(config.hbar_grid, reverse=True)  # largest first
     per_t = {}
     lo, hi = config.ratio_band
     all_pass = True
@@ -390,15 +406,15 @@ def scan(config, write=True):
         monotone = all(seq[i + 1] < seq[i] for i in range(len(seq) - 1))
         in_band = all(lo <= r <= hi for r in ratios if not math.isnan(r))
         entry = {
-            "errors": dict(zip(map(repr, hbars), seq)),
+            "errors": {repr(abs(h)): e for h, e in zip(hbars, seq)},
             "ratios": ratios,
             "monotone_decreasing": monotone,
             "ratios_in_band": in_band,
         }
         if enough_for_fit:
             try:
-                fit = fit_order(list(zip(hbars, seq)))
-                entry["fitted_order"] = fit.slope  # err ~ hbar^order
+                fit = fit_order([(abs(h), e) for h, e in zip(hbars, seq)])
+                entry["fitted_order"] = fit.slope  # err ~ |hbar|^order
                 entry["r_squared"] = fit.r_squared
                 order_ok = fit.slope >= config.min_fit_order
             except ValueError:
@@ -421,7 +437,7 @@ def scan(config, write=True):
         "n_records": len(records),
         "invalid_records": sum(1 for r in records if not r.valid),
         "total_wall_time": sum(r.wall_time for r in records),
-        # one classical solve per t; the other records reuse it
+        # one classical row per t, charged to the column's first record
         "stages": {
             "quantum_s": sum(r.quantum_s for r in records),
             "classical_s": sum(r.classical_s for r in records),

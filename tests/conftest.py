@@ -9,6 +9,18 @@ from nctorus.errors import TruncationOverflowError
 from nctorus.lattice import PRUNE_TOL
 
 
+#: Skew structures per dimension: integral, non-integral and degenerate.
+STRUCTURES = {
+    1: [np.zeros((1, 1))],
+    2: [[[0, 1], [-1, 0]], [[0, 0.37], [-0.37, 0]], np.zeros((2, 2))],
+    3: [[[0, 1, -2], [-1, 0, 1], [2, -1, 0]], [[0, 1.3, 0.5], [-1.3, 0, -0.71], [-0.5, 0.71, 0]],
+        np.zeros((3, 3))],
+    4: [SymplecticStructure.standard(4).J,
+        [[0, 1.3, 0, 0.2], [-1.3, 0, 0.7, 0], [0, -0.7, 0, 2.1], [-0.2, 0, -2.1, 0]],
+        np.zeros((4, 4))],
+}
+
+
 @pytest.fixture
 def J():
     return SymplecticStructure.standard()
@@ -121,7 +133,7 @@ def reference_reachable_modes(start, shifts, radius):
 
 
 def reference_evolution_generator(H, hbar, J, modes):
-    """Reference for `_evolution_generator`: the same entries as a scipy CSR matrix.
+    """Reference for `_Generator`: the same entries as a scipy CSR matrix.
 
     The column of mode r holds c_p w(p, r) in the row of r + p, found by
     searching the key of r + p; targets outside `modes` and entries with

@@ -16,7 +16,7 @@ from nctorus import (
 from nctorus.cstar import fft_left_multiplication, fft_length, fft_plan
 from nctorus.harness import ExperimentConfig, scan
 
-from conftest import coefficients, elements, random_element
+from conftest import STRUCTURES, coefficients, elements, random_element
 
 e = FourierElement.character
 unit = FourierElement.unit
@@ -92,18 +92,6 @@ def assert_fft_matches_sparse(f, hbar, J, window):
         y_star = fft_left_multiplication(f.star(), hbar, J, window, axis, n_fft)(x)
         assert np.abs(y - L @ x).max() <= tol
         assert np.abs(y_star - L.conj().T @ x).max() <= tol
-
-
-#: Skew structures per dimension: integral, non-integral and degenerate.
-STRUCTURES = {
-    1: [np.zeros((1, 1))],
-    2: [[[0, 1], [-1, 0]], [[0, 0.37], [-0.37, 0]], np.zeros((2, 2))],
-    3: [[[0, 1, -2], [-1, 0, 1], [2, -1, 0]], [[0, 1.3, 0.5], [-1.3, 0, -0.71], [-0.5, 0.71, 0]],
-        np.zeros((3, 3))],
-    4: [SymplecticStructure.standard(4).J,
-        [[0, 1.3, 0, 0.2], [-1.3, 0, 0.7, 0], [0, -0.7, 0, 2.1], [-0.2, 0, -2.1, 0]],
-        np.zeros((4, 4))],
-}
 
 
 @st.composite

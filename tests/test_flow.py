@@ -16,7 +16,7 @@ from nctorus import (
     pullback,
     torus_distance,
 )
-from nctorus.deform import _evolution_generator, _reachable_modes, bessel_j
+from nctorus.deform import _Generator, _reachable_modes, bessel_j
 from nctorus.errors import RealityError, SpectralResolutionError, UnderResolvedGridError
 from nctorus.flow import classical_evolve, step_count
 
@@ -225,7 +225,7 @@ class TestClassicalEngine:
         J = SymplecticStructure.standard(dim)
         H = random_real_element(rng, dim, radius=1, n_terms=4)
         modes = _reachable_modes(np.zeros((1, dim), dtype=np.int64), H.modes, 2)
-        L = _evolution_generator(H, 0.0, J, modes).toarray()
+        L = _Generator(H, J, modes).operator([0.0]).toarray()
         assert np.array_equal(L, -L.conj().T)  # anti-Hermitian entrywise
         row = {m: i for i, m in enumerate(map(tuple, modes.tolist()))}
         # columns whose targets r + p all lie inside the mode set
@@ -276,6 +276,21 @@ class TestClassicalEngine:
         assert np.array_equal(a.element.modes, b.element.modes)
         assert np.array_equal(a.element.coeffs, b.element.coeffs)
         assert a.discarded_mass == b.discarded_mass and a.steps == b.steps
+
+    @pytest.mark.parametrize("z", [1e-12, 1e-6, 1e-3, 0.5, 40, 106, 1000, 12345.6])
+    def test_bessel_recurrence_matches_array_loop(self, z):
+        # the recurrence on numpy scalars in a numpy array, as it ran before
+        # it moved to Python floats; small z rescales by 1e-250 on the way
+        m = int(z + 20.0 * np.cbrt(z) + 30.0)
+        ref = np.zeros(m + 2)
+        ref[m] = 1.0
+        for k in range(m, 0, -1):
+            ref[k - 1] = (2.0 * k / z) * ref[k] - ref[k + 1]
+            if abs(ref[k - 1]) > 1e250:
+                ref[k - 1 :] *= 1e-250
+        ref = ref[: m + 1] / (ref[0] + 2.0 * ref[2::2].sum())
+        assert bessel_j(np.float64(z)).tobytes() == ref.tobytes()
+        assert bessel_j(z).tobytes() == ref.tobytes()
 
     # scipy's own values miss J_0 + 2 sum J_2k = 1 by 8.5e-14 at z = 1000
     @pytest.mark.parametrize("z, atol", [(0.5, 1e-15), (40, 1e-15), (106, 5e-15), (1000, 1e-13)])

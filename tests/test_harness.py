@@ -148,11 +148,14 @@ class TestConfigValidation:
             {"min_fit_order": "0.8"},
             {"max_discarded_mass": True},
             {"alias_tol": -1e-6},
+            {"hbar_grid": [0.1, 0.05, 0.1]},
+            {"hbar_grid": [0.1, 0.05, -0.1]},
         ],
         ids=[
             "str-grid", "J-3x3", "nan-t", "nan-step", "short-band", "float-radius", "empty-H",
             "negative-t", "nan-f", "inf-H", "nan-norm-tol", "nan-alias-tol", "nan-discarded",
             "nan-fit-order", "str-norm-tol", "str-fit-order", "bool-discarded", "negative-alias-tol",
+            "repeated-hbar", "opposite-hbar",
         ],
     )
     def test_rejects_bad_input(self, tmp_path, overrides):
@@ -193,6 +196,7 @@ class TestConfigValidation:
                 for x in grid
             )
         assert all(h != 0 and -1 <= h <= 1 for h in cfg.hbar_grid)
+        assert len({abs(h) for h in cfg.hbar_grid}) == len(cfg.hbar_grid)
         assert all(t >= 0 for t in cfg.t_grid)
         lo, hi = cfg.ratio_band
         assert lo <= hi
@@ -239,7 +243,7 @@ class TestEgorovError:
 
     def test_alias_note_on_every_hbar(self, J):
         # trunc_radius 2 leaves too small a box at t = 0.05; the classical
-        # side is computed once for the first hbar and reused by the rest
+        # row is solved once per t column and shared by every hbar
         cfg = small_config(trunc_radius=2, alias_tol=1e-9, max_discarded_mass=1.0)
         result = scan(cfg, write=False)
         assert len(result.records) == 3
@@ -349,6 +353,52 @@ class TestScan:
         assert len(per_t) == 2 and stages["classical_terms"] == sum(per_t.values())
         assert result.csv_text.splitlines()[0] == harness.CSV_HEADER
         assert "quantum_s" not in result.csv_text and "terms" not in result.csv_text
+
+    def test_column_timing_is_charged_to_its_records(self):
+        result = scan(small_config(t_grid=(0.05, 0.1)), write=False)
+        for t in (0.05, 0.1):
+            column = sorted((r for r in result.records if r.t == t), key=lambda r: -abs(r.hbar))
+            # the classical row is charged once, to the record of the largest |hbar|
+            assert column[0].classical_s > 0.0
+            assert all(r.classical_s == 0.0 for r in column[1:])
+            for r in column:
+                assert r.quantum_s > 0.0
+                assert r.quantum_s + r.classical_s + r.norm_s <= r.wall_time
+
+    def test_csv_matches_standalone_records(self):
+        # a scan solves each t column as one block; a record computed on its
+        # own solves its own [hbar, 0] block, and the rows are the same to the bit
+        cfg = small_config(t_grid=(0.05, 0.1))
+        result = scan(cfg, write=False)
+        alone = [
+            egorov_error(cfg.observable, cfg.hamiltonian, h, t, cfg.J, cfg)
+            for t in cfg.t_grid
+            for h in cfg.hbar_grid
+        ]
+        assert records_to_csv(alone) == result.csv_text
+        for a, b in zip(sorted(alone, key=lambda r: (r.hbar, r.t)), result.records):
+            assert (a.quantum_terms, a.classical_terms) == (b.quantum_terms, b.classical_terms)
+
+    @pytest.mark.parametrize(
+        "grid", [(-0.1, -0.05, -0.025), (-0.05, 0.1, -0.025)], ids=["negated", "mixed"]
+    )
+    def test_records_are_even_in_hbar(self, grid):
+        # L_-hbar = L_hbar and ||.||_-hbar = ||.||_hbar: a grid with signs
+        # flipped gives the same records, and each column is ordered and
+        # fitted by |hbar|
+        t_grid = (0.05, 0.1)
+        plain = scan(small_config(t_grid=t_grid), write=False)
+        signed = scan(small_config(hbar_grid=grid, t_grid=t_grid), write=False)
+        by_abs = [sorted(s.records, key=lambda r: (abs(r.hbar), r.t)) for s in (plain, signed)]
+        for a, b in zip(*by_abs):
+            assert (abs(b.hbar), b.t) == (a.hbar, a.t)
+            assert repr((a.err, a.discarded_mass, a.window_dropped, a.valid, a.note)) == repr(
+                (b.err, b.discarded_mass, b.window_dropped, b.valid, b.note)
+            )
+        assert signed.summary["per_t"] == plain.summary["per_t"]
+        assert signed.summary["verdict"] == plain.summary["verdict"]
+        for entry in signed.summary["per_t"].values():
+            assert entry["monotone_decreasing"] and entry["fitted_order"] > 1.0
 
     def test_runaway_time_is_refused_before_any_record(self, monkeypatch):
         monkeypatch.setattr(harness, "egorov_error", no_record)

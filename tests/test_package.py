@@ -29,7 +29,9 @@ def test_import_leaves_heavy_scipy_modules_unloaded():
 def test_scan_and_evolutions_leave_scipy_sparse_unloaded(tmp_path):
     # the pinned shear scan's norms are Toeplitz SVDs in numpy, and every evolution
     # engine builds its generator with numpy; only build_left_multiplication
-    # forms a scipy matrix, and it still returns one in CSC form
+    # forms a scipy matrix, and it still returns one in CSC form.  numpy.ma
+    # stays unloaded too: numpy's plain np.unique imports it, so the package
+    # dedupes by sorting (lattice._distinct)
     code = f"""
 import sys
 from nctorus import (
@@ -47,8 +49,8 @@ qh = QuantumHamiltonian(H, 0.1)
 heisenberg_evolve(f, qh, 0.25, J, trunc_radius=16)
 classical_evolve(f, H, 0.25, J, trunc_radius=16)
 conjugation_evolve(f, qh, 0.05, J, trunc_radius=16)
-print("scipy.sparse" in sys.modules)
+print("scipy.sparse" in sys.modules, "numpy.ma" in sys.modules)
 L = build_left_multiplication(f, 0.1, J, 4)
 print(type(L).__module__.startswith("scipy.sparse"), L.format)
 """
-    assert run_fresh(code, tmp_path).splitlines() == ["False", "True csc"]
+    assert run_fresh(code, tmp_path).splitlines() == ["False False", "True csc"]

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nctorus import (
@@ -25,15 +25,16 @@ from nctorus.errors import ConfigError, RealityError, TruncationOverflowError
 from nctorus.deform import (
     CHEBYSHEV_TAIL,
     MAX_SERIES_Z,
+    _Generator,
     _chebyshev_propagate,
-    _evolution_generator,
-    _evolution_system,
+    _evolution_plan,
+    _evolve_column,
     _reachable_modes,
     _table_range,
 )
 from nctorus.quantum import EvolutionResult
 
-from conftest import elements_nd, reference_evolution_generator
+from conftest import STRUCTURES, assert_same_bits, elements_nd, reference_evolution_generator
 
 e = FourierElement.character
 unit = FourierElement.unit
@@ -242,7 +243,7 @@ class TestGeneratorEngine:
         F = random_real_element(rng, dim, radius=2, n_terms=6) + 0.7j * e((0,) * dim)
         # every product mode of F and H lies within radius 3
         modes = _reachable_modes(F.modes, H.modes, 3)
-        L = _evolution_generator(H, hbar, J, modes)
+        L = _Generator(H, J, modes).operator([hbar])
         row = {tuple(m): i for i, m in enumerate(modes.tolist())}
         v = np.zeros(len(row), dtype=complex)
         v[[row[tuple(m)] for m in F.modes.tolist()]] = F.coeffs
@@ -269,7 +270,7 @@ class TestGeneratorEngine:
         J = SymplecticStructure(scale_J * SymplecticStructure.standard(dim).J)
         radius = data.draw(st.integers(1, 4 if dim == 2 else 2))
         modes = _reachable_modes(start.modes, H.modes, radius)
-        L = _evolution_generator(H, hbar, J, modes)
+        L = _Generator(H, J, modes).operator([hbar])
         ref = reference_evolution_generator(H, hbar, J, modes)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         x = rng.standard_normal(modes.shape[0]) + 1j * rng.standard_normal(modes.shape[0])
@@ -287,7 +288,7 @@ class TestGeneratorEngine:
             tuple(-c for c in m): 0.7 - 0.2j for m in shifts
         })
         modes = _reachable_modes(np.zeros((1, 2), dtype=np.int64), H.modes, 4)
-        L = _evolution_generator(H, 0.1, J, modes)
+        L = _Generator(H, J, modes).operator([0.1])
         ref = reference_evolution_generator(H, 0.1, J, modes)
         x = [1.0, 1j] @ np.random.default_rng(3).standard_normal((2, modes.shape[0]))
         assert L.matvec(x).tobytes() == (ref @ x).tobytes()
@@ -299,7 +300,7 @@ class TestGeneratorEngine:
         H = generic_hamiltonian() + (0.3 + 0.1j) * e((2, -1)) + (0.3 - 0.1j) * e((-2, 1))
         modes = _reachable_modes(np.array([[0, 1]]), H.modes, 9)
         assert (_table_range((H.modes @ J.J) @ modes.T, J) is not None) == table
-        L = _evolution_generator(H, 0.0125, J, modes)
+        L = _Generator(H, J, modes).operator([0.0125])
         ref = reference_evolution_generator(H, 0.0125, J, modes)
         x = [1.0, 1j] @ np.random.default_rng(5).standard_normal((2, modes.shape[0]))
         assert L.matvec(x).tobytes() == (ref @ x).tobytes()
@@ -322,8 +323,8 @@ class TestGeneratorEngine:
         qh = QuantumHamiltonian(generic_hamiltonian(), 0.1)
         res = heisenberg_evolve(unit(), qh, 0.2, J, trunc_radius=4)
         assert res.element == unit()
-        _, L, v, _ = _evolution_system(unit(), qh.base, 0.1, J, 4)
-        _, terms, tail = _chebyshev_propagate(L, v, 0.2)
+        _, G, v, _ = _evolution_plan(unit(), qh.base, J, 4)
+        _, (terms,), (tail,) = _chebyshev_propagate(G.operator([0.1]), v, 0.2)
         assert res.steps == terms
         assert res.discarded_mass == np.sqrt(v.size) * tail * unit().l2() > 0.0
 
@@ -340,8 +341,8 @@ class TestGeneratorEngine:
         qh = QuantumHamiltonian(shear_hamiltonian, 0.1)
         f = e((13, 1))
         res = heisenberg_evolve(f, qh, 0.01, J, trunc_radius=8)
-        _, L, v, outside = _evolution_system(f, qh.base, 0.1, J, 8)
-        full, _, _ = _chebyshev_propagate(L, v, 0.01)
+        _, G, v, outside = _evolution_plan(f, qh.base, J, 8)
+        (full,), _, _ = _chebyshev_propagate(G.operator([0.1]), v, 0.01)
         assert res.element.support_radius() <= 8
         assert res.discarded_mass >= np.abs(full[outside]).sum() > 1.0
 
@@ -396,8 +397,8 @@ class TestChebyshevEvolve:
     def test_discarded_mass_covers_shell_and_series_tail(self, J):
         H = generic_hamiltonian()
         f = e((0, 1)) + 0.5j * e((1, -1))
-        _, L, v, outside = _evolution_system(f, H, 0.2, J, 3)
-        full, terms, tail = _chebyshev_propagate(L, v, 0.1)
+        _, G, v, outside = _evolution_plan(f, H, J, 3)
+        (full,), (terms,), (tail,) = _chebyshev_propagate(G.operator([0.2]), v, 0.1)
         shell = np.abs(full[outside]).sum()
         assert shell > 0.1 and 0.0 < tail <= CHEBYSHEV_TAIL
         res = evolve(f, H, 0.2, 0.1, J, trunc_radius=3)
@@ -414,14 +415,15 @@ class TestChebyshevEvolve:
         def unreachable(*args):
             raise AssertionError("mode set built for a refused series")
 
-        monkeypatch.setattr(deform, "_evolution_system", unreachable)
+        monkeypatch.setattr(deform, "_evolution_plan", unreachable)
         with pytest.raises(ConfigError, match="series of length"):
             evolve(e((0, 1)), shear_hamiltonian, hbar, 1e6, J)
 
     def test_series_length_limit(self, J):
         # f = 1 is fixed, so its own column gives no floor: the check on ||L||_1 refuses
         H = generic_hamiltonian()
-        _, L, v, _ = _evolution_system(unit(), H, 0.1, J, 4)
+        _, G, v, _ = _evolution_plan(unit(), H, J, 4)
+        L = G.operator([0.1])
         rho = L.column_l1().max()
         _chebyshev_propagate(L, v, MAX_SERIES_Z / rho)
         with pytest.raises(ConfigError, match="series of length"):
@@ -432,6 +434,52 @@ class TestChebyshevEvolve:
         assert res.element.n_modes == 0 and res.discarded_mass == 0.0 and res.steps == 0
         with pytest.raises(RealityError):
             evolve(e((0, 1)), 1j * e((1, 0)), 0.1, 0.2, J)
+
+
+class TestEvolveColumn:
+    """`_evolve_column` (several hbar at one t as one block) against `evolve` row by row."""
+
+    @given(
+        d=st.sampled_from([1, 2, 3]),
+        hbars=st.lists(st.sampled_from([0.0, 0.1, -0.1, 0.37, -0.0125, 1.0]), min_size=1, max_size=4),
+        t=st.sampled_from([0.0, 0.04, -0.04, 0.15]),
+        radius=st.integers(1, 2),
+        data=st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_rows_match_evolve_bit_for_bit(self, d, hbars, t, radius, data):
+        # the degenerate J of each dimension makes H fix every f (z = 0 rows),
+        # and f reaches past the truncation radius, so `outside` holds modes
+        J = SymplecticStructure(data.draw(st.sampled_from(STRUCTURES[d])))
+        H = data.draw(elements_nd((d,), radius=1, max_terms=3))
+        H = H + H.star()
+        assume(H.n_modes > 0)
+        f = data.draw(elements_nd((d,), radius=2, max_terms=4))
+        column = _evolve_column(f, H, hbars, t, J, radius)
+        assert len(column) == len(hbars)
+        for hbar, got in zip(hbars, column):
+            want = evolve(f, H, hbar, t, J, trunc_radius=radius)
+            assert_same_bits(got.element, want.element)
+            assert got.discarded_mass.hex() == want.discarded_mass.hex()
+            assert got.steps == want.steps
+
+    def test_rows_stop_at_their_own_series_length(self, J):
+        # at hbar = 0 the generic generator's norm grows with the mode, at
+        # hbar = 0.1 its sines saturate: the rows take different term counts
+        H = generic_hamiltonian()
+        f = e((0, 1)) + 0.5j * e((1, -1))
+        column = _evolve_column(f, H, (0.1, 0.0, 0.0125), 0.1, J, 6)
+        steps = [r.steps for r in column]
+        assert len(set(steps)) == 3
+        assert steps == [evolve(f, H, h, 0.1, J, trunc_radius=6).steps for h in (0.1, 0.0, 0.0125)]
+
+    def test_runaway_row_is_refused_before_the_mode_set(self, J, shear_hamiltonian, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("mode set built for a refused series")
+
+        monkeypatch.setattr(deform, "_evolution_plan", unreachable)
+        with pytest.raises(ConfigError, match="series of length"):
+            _evolve_column(e((0, 1)), shear_hamiltonian, (0.1, 0.0), 1e6, J)
 
 
 class TestAutomorphismProperties:
