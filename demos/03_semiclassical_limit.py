@@ -8,7 +8,7 @@ of the difference with the sandwich estimator and fits the decay order
 in hbar.
 
 The time grid is matched to the truncation radius so that the
-observable's ballistic spread stays well inside the mode window and
+observable's ballistic spread stays well inside the truncation box and
 every record is clean.  The decay is order ~2, not 1: the quantum
 generator weight (2 pi / hbar) sin(2 pi hbar p.Jq) and the classical
 one 4 pi^2 p.Jq differ at O(hbar^2) for every mode pair, whatever its

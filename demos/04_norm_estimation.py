@@ -4,8 +4,9 @@ The deformed C*-norm of a trig polynomial is bracketed by the l2 and
 l1 norms of its coefficients; the working estimate in between is the
 top singular value of the left-multiplication operator compressed to a
 finite mode window -- a certified lower bound that only grows with the
-window.  At hbar = 0 the norm is simply the sup of |f| on the torus,
-which makes a nice end-to-end check.
+window.  An element whose modes lie on one line needs no window: its
+norm is the sup of a 1-D symbol.  At hbar = 0 the norm is simply the
+sup of |f| on the torus, which makes a nice end-to-end check.
 
 Run:  python3 demos/04_norm_estimation.py
 """
@@ -31,10 +32,10 @@ for hbar in (0.0, 0.1, 0.25, 0.5):
     )
 print("  at hbar=0 the norm is sup|2cos + 2cos| = 4; deformation shrinks it")
 
-print("\n== one row of modes: one Toeplitz SVD, the same for every hbar ==")
+print("\n== one row of modes: the sup of a 1-D symbol, the same for every hbar ==")
 # 0.5 e(-1,1) + e(0,1) + 0.5 e(1,1) = (1 + cos 2 pi x) e(y): every mode has
-# p2 = 1, so L is a direct sum of copies of the 17 x 17 Toeplitz matrix of
-# (0.5, 1, 0.5), whose norm approaches sup|1 + cos| = 2 as the window grows
+# p2 = 1, so the element is a(U) V with V unitary, and its norm is
+# sup|1 + cos| = 2 whatever hbar and the window; one FFT samples that sup
 row = 0.5 * e((-1, 1)) + e((0, 1)) + 0.5 * e((1, 1))
 for hbar in (0.0, 0.1, 0.25):
     est = op_norm_estimate(row, hbar, J, window=8)

@@ -43,24 +43,26 @@ def _matrix(text):
         raise argparse.ArgumentTypeError(f"bad J matrix: {exc}")
 
 
-def _finite(text):
-    try:
-        x = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not math.isfinite(x):
-        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
-    return x
+def _number(kind, keep, what):
+    """The argparse type of a `kind` (int or float) x with keep(x); else "not {what}"."""
+
+    def parse(text):
+        try:
+            x = kind(text)
+            if keep(x):
+                return x
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"not {what}: {text!r}")
+
+    return parse
 
 
-def _positive_int(text):
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1: {text!r}")
-    return n
+_finite = _number(float, math.isfinite, "a finite number")
+_positive = _number(float, lambda x: 0 < x < math.inf, "a finite number > 0")
+_nonnegative = _number(float, lambda x: 0 <= x < math.inf, "a finite number >= 0")
+_nonzero = _number(float, lambda x: math.isfinite(x) and x != 0, "a finite number != 0")
+_positive_int = _number(int, lambda n: n >= 1, "an integer >= 1")
 
 
 def _points(text, dim):
@@ -76,8 +78,8 @@ def _points(text, dim):
     return points
 
 
-def _floats(text):
-    return [_finite(x) for x in text.split(",")]
+def _hbar_grid(text):
+    return [_nonzero(x) for x in text.split(",")]
 
 
 def _print_element(f):
@@ -106,7 +108,7 @@ def build_parser():
     p.add_argument("--J", type=_matrix, default=SymplecticStructure.standard())
     p.add_argument("--points", type=str, required=True, help="JSON list of d-vectors")
     p.add_argument("--t", type=_finite, required=True)
-    p.add_argument("--step", type=_finite, default=1e-3)
+    p.add_argument("--step", type=_positive, default=1e-3)
     p.add_argument("--jacobians", action="store_true")
 
     p = sub.add_parser(
@@ -114,7 +116,7 @@ def build_parser():
     )
     p.add_argument("--f", type=_element, required=True)
     p.add_argument("--hamiltonian", type=_element, required=True)
-    p.add_argument("--hbar", type=_finite, required=True)
+    p.add_argument("--hbar", type=_nonzero, required=True)
     p.add_argument("--t", type=_finite, required=True)
     p.add_argument("--J", type=_matrix, default=SymplecticStructure.standard())
     p.add_argument("--trunc-radius", type=_positive_int, default=32)
@@ -124,7 +126,7 @@ def build_parser():
     p.add_argument("--hamiltonian", type=_element, required=True)
     p.add_argument("--t", type=_finite, required=True)
     p.add_argument("--J", type=_matrix, default=SymplecticStructure.standard())
-    p.add_argument("--step", type=_finite, default=1e-3)
+    p.add_argument("--step", type=_positive, default=1e-3)
     p.add_argument("--trunc-radius", type=_positive_int, default=32)
     p.add_argument("--grid", type=_positive_int, default=None)
 
@@ -133,7 +135,7 @@ def build_parser():
     p.add_argument("--hbar", type=_finite, required=True)
     p.add_argument("--J", type=_matrix, default=SymplecticStructure.standard())
     p.add_argument("--window", type=_positive_int, default=None)
-    p.add_argument("--tol", type=_finite, default=1e-8)
+    p.add_argument("--tol", type=_nonnegative, default=1e-8)
 
     p = sub.add_parser("scan", help="full (hbar, t) convergence scan from a config file")
     p.add_argument("config", type=str)
@@ -141,7 +143,7 @@ def build_parser():
     p = sub.add_parser("commutator-scan", help="commutator-vs-bracket residual scan")
     p.add_argument("--hamiltonian", type=_element, required=True)
     p.add_argument("--g", type=_element, required=True)
-    p.add_argument("--hbar-grid", type=_floats, default=[0.1, 0.05, 0.025, 0.0125])
+    p.add_argument("--hbar-grid", type=_hbar_grid, default=[0.1, 0.05, 0.025, 0.0125])
     p.add_argument("--J", type=_matrix, default=SymplecticStructure.standard())
     p.add_argument("--one-sided", action="store_true")
     return parser
@@ -204,9 +206,12 @@ def _dispatch(args):
         return {"clean": 0, "partial": 1}.get(result.status, 1)
     elif args.command == "commutator-scan":
         variant = "one-sided" if args.one_sided else "antisymmetrized"
-        res = commutator_limit_scan(
-            args.hamiltonian, args.g, args.hbar_grid, args.J, variant=variant
-        )
+        try:
+            res = commutator_limit_scan(
+                args.hamiltonian, args.g, args.hbar_grid, args.J, variant=variant
+            )
+        except ValueError as exc:  # a grid of fewer than 3 points
+            raise ConfigError(str(exc)) from exc
         out = {
             "variant": res.variant,
             "residuals": [[h, est.op_lower] for h, est in res.records],

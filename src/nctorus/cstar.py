@@ -8,20 +8,12 @@ nondecreasing in the window size.
 
 When the modes of f lie on one line, that is when every mode
 p = (k, p') has the same coordinates p' off some axis a (always in
-d = 1 and for a single mode), ||L|| is the top singular value of one
-(2W+1) x (2W+1) Toeplitz matrix T[i, j] = c_{(i-j, p')}, i, j in
-[-W, W] (`_line_axis`).  J is skew, so the entry of L at (r, r - p) is
-c_p e(-hbar (pJ).r).  With r = (r_a, r') the pairing (pJ).r is the sum
-of three terms: k (J_{a,.}.r'), a Toeplitz shift that a diagonal
-unitary removes; r_a (p'J)_a, a row modulation independent of k; and a
-term in (p', r') alone, whose phase is one constant per block.  So the
-block of L from the input line r' - p' to the output line r' is D1 T D2
-times a phase, D1 and D2 diagonal unitaries.  The map r' - p' -> r' is
-one to one, so L is a direct sum of copies of the truncated Toeplitz
-matrix T (Boettcher-Silbermann, Introduction to Large Truncated
-Toeplitz Matrices, 1999) and of zero blocks, for lines whose source
-leaves the window.  The line r' = p' has source 0, always inside since
-W >= radius + 1, so ||L|| = ||T|| for every hbar and J.
+d = 1 and for a single mode; `_line_axis`), no window is needed.  J is
+skew, so e_(k e_a + p') = e(hbar k (Jp')_a) U^k W with U = e_(e_a) and
+W = e_(p') unitary: f = a(U) W, a(z) = sum_k c_k e(hbar k (Jp')_a) z^k.
+The gauge action rotates the spectrum of U, so it is the whole circle,
+and ||f|| = sup_x |sum_k c_k e(kx)| for every hbar and J.  `_line_sup`
+samples that sup (Ehlich-Zeller, Math. Z. 86, 1964).
 
 Any other element runs a Lanczos recurrence on L*L, where L has two
 kernels.  `build_left_multiplication` forms it as a sparse matrix of
@@ -53,8 +45,8 @@ class NormEstimate:
     the headline (certified lower) estimate, never an exact norm.
     `iterations` and `residual` are the Lanczos step count and the final
     Ritz estimate.  For an element on one line (`_line_axis`), whose
-    `op_lower` is one dense Toeplitz SVD, no step runs: `iterations` is
-    0 and `residual` 0.0, as for the zero element.
+    `op_lower` is a grid maximum of its symbol, no step runs:
+    `iterations` is 0 and `residual` 0.0, as for the zero element.
     """
 
     lower_l2: float
@@ -135,9 +127,8 @@ def build_left_multiplication(f, hbar, J, window):
     )
 
 
-def fft_length(f, window, axis):
-    """The FFT length of the kernel along `axis`: the least 5-smooth N >= 2W+1 + max |p_a|."""
-    n = 2 * window + 1 + int(np.abs(f.modes[:, axis]).max(initial=0))
+def _smooth_length(n):
+    """The least 5-smooth integer >= n, a fast length for numpy.fft."""
     while True:
         m = n
         for prime in (2, 3, 5):
@@ -146,6 +137,11 @@ def fft_length(f, window, axis):
         if m == 1:
             return n
         n += 1
+
+
+def fft_length(f, window, axis):
+    """The FFT length of the kernel along `axis`: the least 5-smooth N >= 2W+1 + max |p_a|."""
+    return _smooth_length(2 * window + 1 + int(np.abs(f.modes[:, axis]).max(initial=0)))
 
 
 def fft_plan(f, window):
@@ -290,14 +286,18 @@ def _line_axis(f):
     return None
 
 
-def _line_norm(f, axis, window):
-    """||T||, T[i, j] = c_{(i-j, p')} for i, j in [-W, W]: the norm of L for `f` on one line."""
-    side = 2 * window + 1
-    diagonals = np.zeros(2 * side - 1, dtype=np.complex128)  # c at i - j + 2W
-    diagonals[f.modes[:, axis] + 2 * window] = f.coeffs
-    i = np.arange(side)
-    T = diagonals[i[:, None] - i + 2 * window]
-    return float(np.linalg.svd(T, compute_uv=False)[0])
+def _line_sup(f, axis):
+    """Max of |sum_k c_k e(kx)| on N equispaced x: a lower bound on the norm of `f` on one line.
+
+    c_k of mode k e_a + p' sits at k mod N, N the least 5-smooth length
+    >= 16 (2n+1), n = max |k|, and one inverse FFT samples the symbol;
+    the max is >= cos(pi n / N) sup > 0.995 sup (Ehlich-Zeller).
+    """
+    k = f.modes[:, axis]
+    n_fft = _smooth_length(16 * (2 * int(np.abs(k).max()) + 1))
+    symbol = np.zeros(n_fft, dtype=np.complex128)
+    symbol[k % n_fft] = f.coeffs
+    return float(np.abs(np.fft.ifft(symbol, norm="forward")).max())
 
 
 def op_norm_estimate(f, hbar, J, window=None, tol=1e-8, max_iter=None):
@@ -324,11 +324,10 @@ def op_norm_estimate(f, hbar, J, window=None, tol=1e-8, max_iter=None):
 
     An element whose modes lie on one line along an axis (`_line_axis`;
     every element in d = 1 and every single mode) skips the recurrence:
-    ||L|| is then the top singular value of one (2W+1) x (2W+1) Toeplitz
-    matrix, for every hbar and J (module docstring), computed by a dense
-    SVD.  That value is exact up to rounding, so the estimate reports
-    `iterations` 0 and `residual` 0.0, and `tol` and `max_iter` are not
-    read.
+    its norm is the sup of a 1-D symbol, for every hbar and J (module
+    docstring), and `op_lower` is that symbol's maximum on a grid
+    (`_line_sup`).  The estimate reports `iterations` 0 and `residual`
+    0.0, and `window`, `tol` and `max_iter` are not read.
 
     Parameters
     ----------
@@ -337,35 +336,27 @@ def op_norm_estimate(f, hbar, J, window=None, tol=1e-8, max_iter=None):
     J : SymplecticStructure
     window : int, optional
         Mode-window radius W; defaults to max(32, 4 * support radius).
-        Must satisfy W >= support radius + 1 for the estimate to see
-        every mode of `f`.
+        Off the line path it must satisfy W >= support radius + 1, for
+        the estimate to see every mode of `f`.
     tol : float
         Ritz estimate beta_m |y_m| / mu of ||(L*L) x - mu x|| / mu at which
-        to stop, for the top Ritz pair (mu, x).  Not read on the line path.
+        to stop, for the top Ritz pair (mu, x).
     max_iter : int, optional
         Step cap, default 10 * W^2; the recurrence also ends at dim L steps.
-        Not read on the line path.
     """
     if window is None:
         window = default_window(f)
     if f.n_modes == 0:
         return NormEstimate(0.0, 0.0, 0.0, window, 0, 0.0)
-    if window < f.support_radius() + 1:
-        raise ValueError(
-            f"window {window} too small for support radius {f.support_radius()}"
-        )
     if f.dim != J.dim:
         raise ValueError("element/structure dimension mismatch")
     _as_hbar(hbar)  # a non-finite hbar raises on the line path too
     axis = _line_axis(f)
     if axis is not None:
-        return NormEstimate(
-            lower_l2=l2_lower(f),
-            upper_l1=l1_upper(f),
-            op_lower=_line_norm(f, axis, window),
-            window=window,
-            iterations=0,
-            residual=0.0,
+        return NormEstimate(l2_lower(f), l1_upper(f), _line_sup(f, axis), window, 0, 0.0)
+    if window < f.support_radius() + 1:
+        raise ValueError(
+            f"window {window} too small for support radius {f.support_radius()}"
         )
     if max_iter is None:
         max_iter = 10 * window**2

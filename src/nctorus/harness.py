@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import cstar
 from .cstar import NormEstimate, op_norm_estimate
 from .deform import (
     PlanckParam,
@@ -203,15 +204,16 @@ def egorov_error(f, H, hbar, t, J, config, _column=None):
 
     Computes Q = exp(t L_hbar) f and C = f o beta_t = exp(t L_0) f as
     the two rows of one block of the series engine (`_evolve_column` at
-    [hbar, 0]) at a widened evolution radius, restricts the difference to
-    the norm window, and returns its sandwich estimate with truncation
-    metadata and per-stage timings.  `scan` solves each t column for all
-    its hbar at once and passes this record's part as `_column`: (Q, C,
-    quantum_s, classical_s), the last two the seconds of the solve it
-    charges to this record.  Truncation beyond the configured thresholds,
-    or a norm residual above `norm_tol`, flags the record invalid rather
-    than dropping it.  `config.ode_step` is not read: neither side takes
-    time steps.
+    [hbar, 0]) at a widened evolution radius, and returns the sandwich
+    estimate of their difference with truncation metadata and per-stage
+    timings.  A difference off one line (`cstar._line_axis`) is first cut
+    to the norm window, the l1 mass outside being `window_dropped`.
+    `scan` solves each t column for all its hbar at once and passes this
+    record's part as `_column`: (Q, C, quantum_s, classical_s), the last
+    two the seconds of the solve it charges to this record.  Truncation
+    beyond the configured thresholds, or a norm residual above
+    `norm_tol`, flags the record invalid rather than dropping it.
+    `config.ode_step` is not read: neither side takes time steps.
     """
     start = time.perf_counter()
     if _column is None:
@@ -227,10 +229,11 @@ def egorov_error(f, H, hbar, t, J, config, _column=None):
         notes.append("alias tolerance exceeded")
 
     diff = Q.element - C.element
-    # the norm of the difference's modes inside the window, not of the
-    # full difference: `window_dropped` is the l1 mass left outside, and
-    # truncating modes is no compression, so no bound on the full norm
-    restricted, window_dropped = diff.truncate(config.norm_window - 1)
+    if diff.n_modes and cstar._line_axis(diff) is not None:
+        restricted, window_dropped = diff, 0.0
+    else:
+        # truncating modes is no compression, so this bounds no full norm
+        restricted, window_dropped = diff.truncate(config.norm_window - 1)
     norm_start = time.perf_counter()
     est = op_norm_estimate(
         restricted, PlanckParam(hbar), J, window=config.norm_window, tol=config.norm_tol

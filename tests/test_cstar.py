@@ -126,6 +126,34 @@ def line_cases(draw):
     return f, J, f.support_radius() + draw(st.integers(1, margin))
 
 
+def toeplitz_norm(f, axis, window):
+    """||T||, T[i, j] = c_{(i-j, p')} for i, j in [-W, W], by a dense SVD: the line path's oracle.
+
+    For f on one line along `axis` and W >= radius + 1, the compressed
+    left multiplication L is a direct sum of copies of T and of zero
+    blocks, for every hbar and J.  The entry of L at (r, r - p) is
+    c_p e(-hbar (pJ).r), and with r = (r_a, r') the pairing splits into
+    k (J_{a,.}.r'), a Toeplitz shift that a diagonal unitary removes;
+    r_a (p'J)_a, a row modulation independent of k; and a phase constant
+    per block (Boettcher-Silbermann, Introduction to Large Truncated
+    Toeplitz Matrices, 1999).  So ||T|| = ||L||, which the norm of f
+    bounds from above and approaches as W grows.
+    """
+    side = 2 * window + 1
+    diagonals = np.zeros(2 * side - 1, dtype=np.complex128)  # c at i - j + 2W
+    diagonals[f.modes[:, axis] + 2 * window] = f.coeffs
+    i = np.arange(side)
+    T = diagonals[i[:, None] - i + 2 * window]
+    return float(np.linalg.svd(T, compute_uv=False)[0])
+
+
+def loop_estimate(f, hbar, J, **kwargs):
+    """`op_norm_estimate` with the line path switched off, so the Lanczos loop runs."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(cstar, "_line_axis", lambda f: None)
+        return op_norm_estimate(f, hbar, J, **kwargs)
+
+
 def sparse_estimate(monkeypatch, f, hbar, J, **kwargs):
     """`op_norm_estimate` with the sparse kernel forced."""
     with monkeypatch.context() as m:
@@ -169,8 +197,8 @@ class TestSandwichExamples:
         assert est.iterations == 0
 
     def test_unit_plus_character_commutative(self, J):
-        # at hbar = 0 the norm is the sup of |1 + e(p.m)|, i.e. 2
-        # compression error is O((pi / window)^2), so a 1% band needs W ~ 16
+        # at hbar = 0 the norm is the sup of |1 + e(p.m)|, i.e. 2; both modes
+        # lie on one line, so no window compresses it
         est = op_norm_estimate(unit() + e((1, 0)), 0.0, J, window=16)
         assert est.op_lower == pytest.approx(2.0, rel=1e-2)
         assert est.op_lower <= 2.0 + 1e-12
@@ -186,8 +214,9 @@ class TestSandwichExamples:
         assert 2.0 - 1e-9 <= est.op_lower <= 4.0 + 1e-12
 
     def test_window_too_small(self, J):
+        # two rows, so the Lanczos loop, the one path that reads the window
         with pytest.raises(ValueError):
-            op_norm_estimate(e((5, 0)), 0.1, J, window=5)
+            op_norm_estimate(e((5, 0)) + e((0, 1)), 0.1, J, window=5)
 
 
 class TestSandwichProperty:
@@ -351,17 +380,24 @@ class TestFFTKernel:
 
 
 class TestLinePath:
-    """An element on one line: ||L|| is one Toeplitz SVD, and no Lanczos step runs."""
+    """An element on one line: op_lower is a grid sup of its symbol, and no Lanczos step runs."""
 
     @given(case=line_cases(), hbar=st.sampled_from([0.0, 0.1, 0.37, -0.3, -1.0]))
     @settings(max_examples=40, deadline=None)
     def test_matches_dense_norm(self, case, hbar):
+        # the Toeplitz oracle is ||L|| on the window, and the sup bounds it
         f, J, window = case
-        est = op_norm_estimate(f, hbar, J, window=window)
+        oracle = toeplitz_norm(f, cstar._line_axis(f), window)
         dense = np.linalg.norm(build_left_multiplication(f, hbar, J, window).toarray(), 2)
-        assert est.op_lower == pytest.approx(dense, rel=1e-12)
-        assert est.op_lower == op_norm_estimate(f, 0.0, J, window=window).op_lower
+        assert oracle == pytest.approx(dense, rel=1e-12)
+        est = op_norm_estimate(f, hbar, J, window=window)
+        assert oracle <= est.op_lower * (1 + 1e-12)
+        assert loop_estimate(f, hbar, J, window=window).op_lower <= est.op_lower * (1 + 1e-9)
+        assert est.op_lower >= est.lower_l2 - 1e-12 * est.upper_l1
         assert est.iterations == 0 and est.residual == 0.0
+        # hbar, J and the window are not read
+        zero_J = SymplecticStructure(STRUCTURES[f.dim][-1])
+        assert est.op_lower == op_norm_estimate(f, 0.0, zero_J, window=window + 1).op_lower
 
     def test_two_rows_run_lanczos(self, J):
         f = e((1, 0)) + 0.5 * e((0, 1)) + e((-1, 1))
@@ -379,15 +415,17 @@ class TestLinePath:
         ],
         ids=["d1", "row-axis0", "row-axis1", "row-d4"],
     )
-    def test_agrees_with_the_loop(self, monkeypatch, d, terms, hbar):
+    def test_agrees_with_the_loop(self, d, terms, hbar):
+        # the forced loop finds the Toeplitz oracle, and the line value bounds both
         f = FourierElement(d, terms)
         J = SymplecticStructure(STRUCTURES[d][1 if d > 1 else 0])  # non-integral where d > 1
         window = f.support_radius() + 2
         line = op_norm_estimate(f, hbar, J, window=window)
-        monkeypatch.setattr(cstar, "_line_axis", lambda f: None)
-        loop = op_norm_estimate(f, hbar, J, window=window)
+        loop = loop_estimate(f, hbar, J, window=window)
         assert loop.iterations >= 1
-        assert line.op_lower == pytest.approx(loop.op_lower, rel=1e-9)
+        oracle = toeplitz_norm(f, cstar._line_axis(f), window)
+        assert loop.op_lower == pytest.approx(oracle, rel=1e-9)
+        assert loop.op_lower <= line.op_lower * (1 + 1e-9)
 
 
 class TestKernelChoice:

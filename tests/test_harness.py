@@ -583,10 +583,41 @@ class TestCli:
         assert "integer" in capsys.readouterr().err
 
     def test_norm_window_inside_support_exits_2(self, capsys):
-        code = main(["norm", "--f", "[[[3,0],1,0]]", "--hbar", "0.1", "--window", "3"])
+        # two rows, so the Lanczos loop, the one path that reads the window
+        f = "[[[3,0],1,0],[[0,1],1,0]]"
+        code = main(["norm", "--f", f, "--hbar", "0.1", "--window", "3"])
         assert code == 2
         assert "window 3 too small for support radius 3" in capsys.readouterr().err
-        assert main(["norm", "--f", "[[[3,0],1,0]]", "--hbar", "0.1", "--window", "4"]) == 0
+        assert main(["norm", "--f", f, "--hbar", "0.1", "--window", "4"]) == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["flow", "--hamiltonian", json.dumps(SHEAR), "--points", "[[0.25, 0.0]]",
+             "--t", "0.1", "--step", "0"],
+            ["flow", "--hamiltonian", json.dumps(SHEAR), "--points", "[[0.25, 0.0]]",
+             "--t", "0.1", "--step=-0.5"],
+            ["evolve-classical", "--f", json.dumps(OBS), "--hamiltonian", json.dumps(SHEAR),
+             "--t", "0.1", "--step", "0"],
+            ["norm", "--f", json.dumps(OBS), "--hbar", "0.1", "--tol=-1"],
+            ["evolve-quantum", "--f", json.dumps(OBS), "--hamiltonian", json.dumps(SHEAR),
+             "--hbar", "0", "--t", "0.1"],
+            ["commutator-scan", "--hamiltonian", json.dumps(SHEAR), "--g", json.dumps(OBS),
+             "--hbar-grid", "0.1,0.05"],
+            ["commutator-scan", "--hamiltonian", json.dumps(SHEAR), "--g", json.dumps(OBS),
+             "--hbar-grid", "0.1,0,0.05"],
+        ],
+        ids=["flow-step-zero", "flow-step-negative", "evolve-classical-step-zero",
+             "norm-tol-negative", "evolve-quantum-hbar-zero", "commutator-scan-short-grid",
+             "commutator-scan-hbar-zero"],
+    )
+    def test_bad_number_exits_2(self, argv, capsys):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the value
+            code = exc.code
+        assert code == 2
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_runaway_evolve_quantum_exits_2(self, capsys):
         start = time.perf_counter()

@@ -27,8 +27,8 @@ def test_import_leaves_heavy_scipy_modules_unloaded():
 
 
 def test_scan_and_evolutions_leave_scipy_sparse_unloaded(tmp_path):
-    # the pinned shear scan's norms are Toeplitz SVDs in numpy, and every evolution
-    # engine builds its generator with numpy; only build_left_multiplication
+    # the pinned shear scan's norms are one-line symbol sups by numpy.fft, and every
+    # evolution engine builds its generator with numpy; only build_left_multiplication
     # forms a scipy matrix, and it still returns one in CSC form.  numpy.ma
     # stays unloaded too: numpy's plain np.unique imports it, so the package
     # dedupes by sorting (lattice._distinct)
