@@ -677,10 +677,10 @@ def _evolve_column(f, H, hbars, t, J, trunc_radius=32):
     `EvolutionResult` per hbar, each what `evolve` returns for it alone,
     to the bit; hbar = 0 gives the classical transport.  A t whose
     series would pass `MAX_SERIES_Z` at any hbar raises `ConfigError`
-    before the mode set is built.
+    before the mode set is built.  H must be real, and its callers check
+    it: `evolve` on each call, `harness.egorov_error` on a lone record,
+    and `ExperimentConfig` once for every column of a scan.
     """
-    if not H.is_real():
-        raise RealityError("Hamiltonian fails the reality test")
     if f.n_modes == 0:
         return [EvolutionResult(element=f, discarded_mass=0.0, steps=0) for _ in hbars]
     hbars = [_as_hbar(h) for h in hbars]
@@ -715,7 +715,8 @@ def evolve(f, H, hbar, t, J, trunc_radius=32):
     randomness.  This is the one-row case of `_evolve_column`, which
     solves several hbar at one t as one block.  A series argument z =
     |t| ||L||_1 above `MAX_SERIES_Z` raises `ConfigError`; a t far past
-    that limit is refused before the mode set is built.
+    that limit is refused before the mode set is built.  An H that fails
+    the reality test raises `RealityError`, for f = 0 too.
 
     `discarded_mass` bounds, in l1 and hence in every C*-norm, what the
     result leaves out of exp(t L_hbar) f on the mode set: the l1 mass at
@@ -726,5 +727,7 @@ def evolve(f, H, hbar, t, J, trunc_radius=32):
     differs from the closed form by l1 9.5e-15 to 7.9e-14, against a
     reported 3.2e-15 to 1.3e-14.  `steps` is the number of series terms.
     """
+    if not H.is_real():
+        raise RealityError("Hamiltonian fails the reality test")
     return _evolve_column(f, H, (hbar,), t, J, trunc_radius)[0]
 

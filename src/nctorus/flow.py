@@ -27,6 +27,7 @@ from .errors import RealityError, SpectralResolutionError, UnderResolvedGridErro
 from .lattice import (
     FourierElement,
     _coalesce,
+    _uniform_grid,
     partial_derivative,
     pointwise_mul,
     seminorm,
@@ -78,9 +79,6 @@ class VectorField:
                 out[:, k, j] = self._jacobian_elements[k][j].eval_at(pts).real
         return out
 
-    def max_component_l1(self):
-        return max(c.l1() for c in self.components)
-
     def support_radius(self):
         return max(c.support_radius() for c in self.components)
 
@@ -95,10 +93,7 @@ class VectorField:
             el.support_radius() for row in self._jacobian_elements for el in row
         )
         G = max(oversample * (2 * radius + 1), 8)
-        axes = [np.arange(G) / G] * self.dim
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.reshape(-1) for m in mesh], axis=-1)
-        jac = self.jacobian_eval(pts)
+        jac = self.jacobian_eval(_uniform_grid(self.dim, G))
         svals = np.linalg.svd(jac, compute_uv=False)
         return float(svals[:, 0].max())
 
@@ -248,10 +243,7 @@ def pullback(
     if steps is None:
         steps = step_count(t, ode_step)
     d = f.dim
-    axes = [np.arange(grid) / grid] * d
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.reshape(-1) for m in mesh], axis=-1)
-    flowed = flow_points(Phi, pts, t, steps).points
+    flowed = flow_points(Phi, _uniform_grid(d, grid), t, steps).points
     vals = f.eval_at(flowed).reshape((grid,) * d)
     coeffs = np.fft.fftn(vals) / grid**d
     freqs = np.fft.fftfreq(grid, 1.0 / grid).astype(np.int64)

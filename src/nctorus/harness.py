@@ -27,16 +27,17 @@ from .cstar import NormEstimate, op_norm_estimate
 from .deform import (
     PlanckParam,
     SymplecticStructure,
+    _column_l1,
     _evolve_column,
     check_evolution_time,
     one_sided_residual,
     scaled_commutator_residual,
 )
-from .errors import ConfigError
+from .errors import ConfigError, RealityError
 # `pullback` and `heisenberg_evolve` are not called here; they stay
 # importable from this module because the benchmark tracer
 # (perfbench/tracing.py) wraps them by name
-from .flow import hamiltonian_vector_field, pullback  # noqa: F401
+from .flow import pullback  # noqa: F401
 from .lattice import FourierElement
 from .quantum import heisenberg_evolve  # noqa: F401
 
@@ -64,7 +65,8 @@ class ExperimentConfig:
     in hbar (L_-hbar = L_hbar, and ||.||_-hbar = ||.||_hbar), so hbar and
     -hbar would be one point of the fit.  `alias_tol`, `norm_tol` and
     `max_discarded_mass` must be finite and >= 0, `min_fit_order`
-    finite; a NaN would switch its gate off.
+    finite; a NaN would switch its gate off.  `output_dir` must be a
+    string.
     """
 
     hamiltonian: FourierElement
@@ -116,6 +118,8 @@ class ExperimentConfig:
         for name in ("alias_tol", "norm_tol", "max_discarded_mass"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
+        if not isinstance(self.output_dir, str):
+            raise ConfigError("output_dir must be a string")
 
     @classmethod
     def from_dict(cls, data):
@@ -183,8 +187,23 @@ class ErrorRecord:
 
 
 def evolution_radius(base_radius, t, phi_scale):
-    """Truncation radius for evolved observables: base + ballistic spread."""
+    """Truncation radius for evolved observables: base + ballistic spread.
+
+    `phi_scale` is the flow speed v = max_k ||(X_H)_k||_1 of `_flow_speed`,
+    and the spread is ceil(8 |t| v).
+    """
     return base_radius + math.ceil(8.0 * abs(t) * phi_scale)
+
+
+def _flow_speed(H, J):
+    """max_k ||(X_H)_k||_1, the l1 norm of the largest component of H's Hamiltonian vector field.
+
+    Component k of X_H has coefficients 2 pi i c_p (pJ)_k, so this is
+    2 pi max_k sum_p |c_p| |(pJ)_k|: the largest l1 norm of the hbar = 0
+    generator's columns at the unit vectors e_k, over 2 pi.
+    """
+    unit_modes = np.eye(H.dim, dtype=np.int64)
+    return float(_column_l1(H, 0.0, J, unit_modes).max()) / (2.0 * np.pi)
 
 
 def _solve_column(f, H, hbars, t, J, radius):
@@ -214,11 +233,16 @@ def egorov_error(f, H, hbar, t, J, config, _column=None):
     beyond the configured thresholds, or a norm residual above
     `norm_tol`, flags the record invalid rather than dropping it.
     `config.ode_step` is not read: neither side takes time steps.
+    Called alone, it raises `RealityError` for an H that fails the
+    reality test and widens the radius by `_flow_speed(H, J)`.  `scan`
+    computes that speed once and relies on its `ExperimentConfig`, which
+    has checked H's reality.
     """
     start = time.perf_counter()
     if _column is None:
-        phi = hamiltonian_vector_field(H, J)
-        n_ev = evolution_radius(config.trunc_radius, t, phi.max_component_l1())
+        if not H.is_real():
+            raise RealityError("Hamiltonian fails the reality test")
+        n_ev = evolution_radius(config.trunc_radius, t, _flow_speed(H, J))
         (Q, C), (quantum_s, classical_s) = _solve_column(f, H, (hbar, 0.0), t, J, n_ev)
         charged = 0.0  # the solve ran inside this call
     else:
@@ -376,13 +400,20 @@ def scan(config, write=True):
     `ConfigError` before any record is computed.  Returns a
     `ScanResult`; with `write=True` the CSV, JSON summary and
     gnuplot-ready err-vs-hbar columns are written to the configured
-    output directory.
+    output directory, which is created before the first record: one
+    that cannot be created raises `ConfigError`.
     """
     f, H, J = config.observable, config.hamiltonian, config.J
     # the hbar = 0 column norms bound those of every hbar, as
     # |sin(2 pi hbar k)| / |hbar| <= 2 pi |k|, so one check covers both sides
     check_evolution_time(f, H, 0.0, max(config.t_grid), J)
-    phi_scale = hamiltonian_vector_field(H, J).max_component_l1()
+    if write:
+        out = config.resolved_output_dir()
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory: {exc}") from exc
+    phi_scale = _flow_speed(H, J)
     hbars = sorted(config.hbar_grid, key=abs, reverse=True)  # largest |hbar| first
     records = []
     for t in sorted(config.t_grid):
@@ -451,8 +482,6 @@ def scan(config, write=True):
     }
     csv_text = records_to_csv(records)
     if write:
-        out = config.resolved_output_dir()
-        out.mkdir(parents=True, exist_ok=True)
         (out / "egorov_scan.csv").write_text(csv_text)
         (out / "egorov_summary.json").write_text(json.dumps(summary, indent=2) + "\n")
         for t in sorted(config.t_grid):

@@ -9,12 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nctorus.cstar as cstar
+import nctorus.flow as flow
 import nctorus.harness as harness
 from nctorus import FourierElement, SymplecticStructure, op_norm_estimate
 from nctorus.cli import main
-from nctorus.errors import ConfigError
+from nctorus.errors import ConfigError, RealityError
+from nctorus.flow import hamiltonian_vector_field
 from nctorus.harness import (
     ExperimentConfig,
+    _flow_speed,
     commutator_limit_scan,
     egorov_error,
     evolution_radius,
@@ -22,6 +25,8 @@ from nctorus.harness import (
     records_to_csv,
     scan,
 )
+
+from conftest import STRUCTURES, elements_nd
 
 e = FourierElement.character
 unit = FourierElement.unit
@@ -150,12 +155,13 @@ class TestConfigValidation:
             {"alias_tol": -1e-6},
             {"hbar_grid": [0.1, 0.05, 0.1]},
             {"hbar_grid": [0.1, 0.05, -0.1]},
+            {"output_dir": 5},
         ],
         ids=[
             "str-grid", "J-3x3", "nan-t", "nan-step", "short-band", "float-radius", "empty-H",
             "negative-t", "nan-f", "inf-H", "nan-norm-tol", "nan-alias-tol", "nan-discarded",
             "nan-fit-order", "str-norm-tol", "str-fit-order", "bool-discarded", "negative-alias-tol",
-            "repeated-hbar", "opposite-hbar",
+            "repeated-hbar", "opposite-hbar", "non-str-output-dir",
         ],
     )
     def test_rejects_bad_input(self, tmp_path, overrides):
@@ -170,7 +176,7 @@ class TestConfigValidation:
         key=st.sampled_from(
             [
                 "hbar_grid", "t_grid", "ratio_band", "trunc_radius", "norm_window",
-                "norm_tol", "alias_tol", "max_discarded_mass", "min_fit_order",
+                "norm_tol", "alias_tol", "max_discarded_mass", "min_fit_order", "output_dir",
             ]
         ),
         value=st.recursive(
@@ -185,7 +191,7 @@ class TestConfigValidation:
     )
     @settings(max_examples=300, deadline=None)
     def test_fuzzed_fields_fail_fast(self, key, value):
-        """Any JSON value in a grid, band, radius or tolerance is accepted well-formed or raises ConfigError."""
+        """Any JSON value in a grid, band, radius, tolerance or output_dir is accepted well-formed or raises ConfigError."""
         try:
             cfg = ExperimentConfig.from_dict({"H": SHEAR, "f": OBS, "J": J_STD, key: value})
         except ConfigError:
@@ -206,6 +212,7 @@ class TestConfigValidation:
             assert isinstance(value, (int, float)) and not isinstance(value, bool)
             assert math.isfinite(value)
         assert min(cfg.norm_tol, cfg.alias_tol, cfg.max_discarded_mass) >= 0
+        assert isinstance(cfg.output_dir, str)
 
     def test_output_dir_env_override(self, tmp_path, monkeypatch):
         cfg = small_config(output_dir="elsewhere")
@@ -271,6 +278,25 @@ class TestEgorovError:
     def test_evolution_radius_growth(self):
         assert evolution_radius(8, 0.0, 4 * np.pi) == 8
         assert evolution_radius(8, 0.5, 4 * np.pi) == 8 + int(np.ceil(16 * np.pi))
+
+    @given(d=st.integers(1, 4), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_flow_speed_is_the_vector_field_l1(self, d, data):
+        # the speed read from H's coefficients is the largest component l1
+        # norm of the Hamiltonian vector field, and widens the radius alike
+        J = SymplecticStructure(data.draw(st.sampled_from(STRUCTURES[d])))
+        H = data.draw(elements_nd((d,), radius=3, max_terms=6))
+        H = H + H.star()
+        want = max(c.l1() for c in hamiltonian_vector_field(H, J).components)
+        got = _flow_speed(H, J)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+        for t in (0.25, 0.5, 1.0):
+            assert evolution_radius(8, t, got) == evolution_radius(8, t, want)
+
+    def test_non_real_hamiltonian_is_refused(self, J):
+        cfg = small_config()
+        with pytest.raises(RealityError):
+            egorov_error(cfg.observable, 1j * e((1, 0)), 0.1, 0.05, J, cfg)
 
 
 class TestCommutatorLimitScan:
@@ -404,6 +430,26 @@ class TestScan:
         monkeypatch.setattr(harness, "egorov_error", no_record)
         with pytest.raises(ConfigError, match="series of length"):
             scan(small_config(t_grid=(1e6, 0.05)), write=False)
+
+    def test_validated_hamiltonian_is_not_checked_again(self, monkeypatch):
+        # ExperimentConfig has checked H's reality and H cannot change after,
+        # so a scan builds no vector field and runs no reality test
+        cfg = small_config(t_grid=(0.05, 0.1))
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(FourierElement, "is_real", counted("is_real", FourierElement.is_real))
+        monkeypatch.setattr(
+            flow.VectorField, "__init__", counted("VectorField", flow.VectorField.__init__)
+        )
+        scan(cfg, write=False)
+        assert calls == []
 
     def test_env_var_redirects_output(self, tmp_path, monkeypatch):
         monkeypatch.setenv("NCTORUS_OUTPUT_DIR", str(tmp_path / "redirected"))
@@ -626,6 +672,21 @@ class TestCli:
         assert time.perf_counter() - start < 1.0
         assert code == 2
         assert "series of length" in capsys.readouterr().err
+
+    def test_uncreatable_output_dir_exits_2(self, tmp_path, capsys, monkeypatch):
+        # the output directory is made before the first record, so a path
+        # under a regular file fails at once, with one line and exit 2
+        monkeypatch.delenv("NCTORUS_OUTPUT_DIR", raising=False)
+        monkeypatch.setattr(harness, "_solve_column", no_record)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        cfg = {"H": SHEAR, "f": OBS, "J": J_STD, "t_grid": [0.05], "trunc_radius": 8,
+               "norm_window": 10, "output_dir": str(blocker / "out")}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["scan", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "output directory" in err
 
     def test_runaway_scan_exits_2(self, tmp_path, capsys):
         cfg = {"H": SHEAR, "f": OBS, "J": J_STD, "hbar_grid": [0.1], "t_grid": [1e6],
