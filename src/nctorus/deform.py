@@ -112,36 +112,54 @@ def cocycle(p, q, hbar, J):
     return complex(np.exp(-2j * np.pi * h * (p @ (J.J @ q))))
 
 
+def _table_fits(lo, hi, size):
+    """Whether a table of the integers of [lo, hi] is exact in int64 (|lo|, |hi| < 2^53) and holds at most `size`."""
+    return max(abs(lo), abs(hi)) < 2**53 and hi - lo + 1 <= size
+
+
 def _table_range(pairing, J):
-    """The range (lo, hi) of `pairing` if `_on_pairings` may use a table, else None.
+    """The range (lo, hi) of `pairing` if a table of its integers (`_table_fits`) may serve it, else None.
 
     For an integral J every pairing p . (J q) is an integer-valued float.
-    The table applies when its range is exact in int64 (|lo|, |hi| <
-    2^53) and holds no more integers than there are pairs.
     """
     if not J._integral:
         return None
     lo, hi = pairing.min(), pairing.max()
-    if max(abs(lo), abs(hi)) < 2**53 and hi - lo + 1 <= pairing.size:
+    if _table_fits(lo, hi, pairing.size):
         return int(lo), int(hi)
     return None
 
 
-def _on_pairings(fn, pairing, J):
-    """The elementwise `fn(pairing)` of a ufunc expression `fn`, for pairings k = p . (J q).
+def _on_pairings(fn, J, n_pairs):
+    """`fn` of the pairings k = p . (J q) of one product's blocks, as a function of a block's pairings.
 
-    Inside `_table_range`, `fn` runs once on the integers of [lo, hi] and
-    the entries gather from that table by `pairing - lo`; otherwise it
-    runs once per pair.  The table gives every entry `fn` of the same
-    float argument, so the values are the same bits, up to the sign of a
-    zero that `fn` makes of a pairing of -0.0; sums that start from 0.0
-    drop that sign.
+    For an integral J the product keeps one table of `fn` on the
+    integers of a range [lo, hi]; the first block builds it on its own
+    range, a block whose pairings fall outside it rebuilds it on the
+    union, and the entries gather from it by `pairing - lo`.  A block
+    whose union with the table is not `_table_fits` for the product's
+    `n_pairs` pairs, and every block of a non-integral J, runs `fn` once
+    per pair.  Every entry is `fn` of the same float argument either
+    way, so the values are the same bits, up to the sign of a zero that
+    `fn` makes of a pairing of -0.0; sums that start from 0.0 drop that
+    sign.
     """
-    table_range = _table_range(pairing, J)
-    if table_range is None:
-        return fn(pairing)
-    lo, hi = table_range
-    return fn(np.arange(lo, hi + 1, dtype=np.float64))[pairing.astype(np.int64) - lo]
+    if not J._integral:
+        return fn
+    lo, values = 0, None
+
+    def on_block(pairing):
+        nonlocal lo, values
+        k_lo, k_hi = pairing.min(), pairing.max()
+        if values is not None:
+            k_lo, k_hi = min(k_lo, lo), max(k_hi, lo + values.size - 1)
+        if not _table_fits(k_lo, k_hi, n_pairs):
+            return fn(pairing)
+        if values is None or k_lo < lo or k_hi >= lo + values.size:
+            lo, values = int(k_lo), fn(np.arange(k_lo, k_hi + 1, dtype=np.float64))
+        return values[pairing.astype(np.int64) - lo]
+
+    return on_block
 
 
 def deformed_mul(f, g, hbar, J, cap=DEFAULT_MODE_CAP):
@@ -150,10 +168,10 @@ def deformed_mul(f, g, hbar, J, cap=DEFAULT_MODE_CAP):
     Bilinear and exact on trigonometric polynomials; at hbar = 0 it
     coincides with the pointwise product.  `_convolve` asks for the pair
     coefficients one block of f's modes at a time; each block forms its
-    pairings k, its phases exp(-2 pi i hbar k) by `_on_pairings` (a table
-    or one exp per pair, decided per block; both give the same bits) and
-    its coefficients by the broadcast expression of the whole (n_f, n_g)
-    product on a row slice.  numpy's complex multiply may round
+    pairings k, its phases exp(-2 pi i hbar k) by `_on_pairings` (one
+    table for the whole product, or one exp per pair; both give the same
+    bits) and its coefficients by the broadcast expression of the whole
+    (n_f, n_g) product on a row slice.  numpy's complex multiply may round
     differently by loop shape (FMA), and that expression gives each pair
     the bits it has in the whole product.
     """
@@ -164,11 +182,11 @@ def deformed_mul(f, g, hbar, J, cap=DEFAULT_MODE_CAP):
     if f.n_modes == 0 or g.n_modes == 0:
         return FourierElement.zero(f.dim)
     f_J, g_T = f.modes @ J.J, g.modes.T
+    phases = _on_pairings(lambda k: np.exp(-2j * np.pi * h * k), J, f.n_modes * g.n_modes)
 
     def block_coeffs(rows):
         pairing = f_J[rows] @ g_T  # p . (J q) for the modes p of f in `rows`
-        phases = _on_pairings(lambda k: np.exp(-2j * np.pi * h * k), pairing, J)
-        return f.coeffs[rows, None] * g.coeffs[None, :] * phases
+        return f.coeffs[rows, None] * g.coeffs[None, :] * phases(pairing)
 
     return _convolve(f, g, block_coeffs, cap, "deformed product")
 
@@ -474,7 +492,7 @@ class _Generator:
         self.missing = mode_keys[self.source] != source_keys
         self.coeffs = H.coeffs[::-1, None, None]
         self.pairing = np.take_along_axis(pairing[::-1], self.source, axis=1)
-        # with a table (`_on_pairings`), the sines of each hbar are taken once per integer
+        # with a table (`_table_range`), the sines of each hbar are taken once per integer
         table_range = _table_range(pairing, J)
         self.table = None
         if table_range is not None:

@@ -4,7 +4,7 @@ import scipy.sparse as sp
 from hypothesis import strategies as st
 
 from nctorus import FourierElement, SymplecticStructure
-from nctorus.deform import _mode_keys
+from nctorus.deform import EvolutionResult, _mode_keys, deformed_mul
 from nctorus.errors import TruncationOverflowError
 from nctorus.lattice import PRUNE_TOL
 
@@ -183,3 +183,26 @@ def element_pairs(dims=(1, 2, 3, 4), radius=3, max_terms=12):
     return st.sampled_from(dims).flatmap(
         lambda d: st.tuples(*[elements_nd((d,), radius, max_terms)] * 2)
     )
+
+
+def reference_exp_deformed(f, hbar, J, tol=1e-12, trunc_radius=64, max_terms=None):
+    """Reference for `quantum.exp_deformed`: the series summed term by term.
+
+    Each term is (1/n) times term n - 1 x_h f, truncated to `trunc_radius`
+    every time, and added to the running sum, which re-coalesces it.
+    `discarded_mass` is the plain sum of the truncated l1 mass.
+    """
+    cap = trunc_radius + max(f.support_radius(), 1)
+    if max_terms is None:
+        max_terms = int(3 * f.l1()) + 60
+    total = term = FourierElement.unit(f.dim)
+    discarded = 0.0
+    n = 0
+    while term.l1() > tol:
+        n += 1
+        assert n <= max_terms, "reference series did not converge"
+        term = (1.0 / n) * deformed_mul(term, f, hbar, J, cap=cap)
+        term, dropped = term.truncate(trunc_radius)
+        discarded += dropped
+        total = total + term
+    return EvolutionResult(element=total, discarded_mass=discarded, steps=n)

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from nctorus import (
@@ -20,7 +20,8 @@ from nctorus import (
     scaled_commutator_residual,
 )
 import nctorus.lattice as lattice
-from nctorus.deform import _reachable_modes, _table_range
+import nctorus.deform as deform
+from nctorus.deform import _on_pairings, _reachable_modes, _table_fits, _table_range
 from nctorus.errors import TruncationOverflowError
 from nctorus.lattice import _row_blocks
 from nctorus.harness import fit_order
@@ -268,6 +269,37 @@ class TestDeformedMulKeys:
             deformed_mul(f, g, hbar, J, cap=128), reference_deformed_mul(f, g, hbar, J, cap=128)
         )
 
+    @given(
+        blocks=st.lists(st.lists(st.integers(-300, 300), min_size=1, max_size=40), min_size=1, max_size=6),
+        hbar=st.sampled_from([0.0, 0.1, -0.37, 0.0125]),
+        n_pairs=st.integers(1, 800),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_table_keeps_bits_as_it_grows(self, blocks, hbar, n_pairs):
+        # one table for a product: blocks whose pairings lie beyond the
+        # earlier ones' grow it, and blocks past `n_pairs` integers take the
+        # per-pair exp; every entry is the same bits as the exp of its pairing
+        fn = lambda k: np.exp(-2j * np.pi * hbar * k)  # noqa: E731
+        phases = _on_pairings(fn, SymplecticStructure.standard(), n_pairs)
+        for block in blocks:
+            pairing = np.array(block, dtype=np.float64)
+            assert phases(pairing).tobytes() == fn(pairing).tobytes()
+
+    @pytest.mark.parametrize("cap", [69, 70])
+    def test_cap_on_either_side_of_the_box(self, J, cap):
+        # the box of sums reaches radius 70 and so does the surviving mode
+        # (70, 0): a cap one below it scans the modes and raises, a cap at
+        # it skips the scan
+        f = e((0, 1)) + 1e-3 * e((40, 0))
+        for mul, ref in ((deformed_mul, reference_deformed_mul), (pointwise_mul, reference_pointwise_mul)):
+            args = (0.1, J) if mul is deformed_mul else ()
+            if cap < 70:
+                for fn in (mul, ref):
+                    with pytest.raises(TruncationOverflowError, match=f"radius 70 exceeds cap {cap}"):
+                        fn(f, e((30, 0)), *args, cap=cap)
+            else:
+                assert_same_bits(mul(f, e((30, 0)), *args, cap=cap), ref(f, e((30, 0)), *args, cap=cap))
+
     def test_zero_factors(self, J):
         f = 2.0 * e((1, 2)) + e((-3, 0))
         zero = FourierElement.zero(2)
@@ -300,6 +332,30 @@ def block_pairs(draw):
     return factor(), factor()
 
 
+@st.composite
+def widening_pairs(draw):
+    """Two factors on T^2 or T^4 for the standard J whose row blocks pair in ranges that grow.
+
+    f's modes spread along the first axis and g holds e_{(0, 1, ...)},
+    whose pairing with a mode p of f is p_1: f's rows are sorted by p_1,
+    so later blocks reach pairings that the earlier ones do not.
+    """
+    d = draw(st.sampled_from([2, 4]))
+    reals = st.one_of(st.floats(0.1, 3), st.floats(-3, -0.1))
+    parts = st.one_of(st.floats(-3, 3), st.sampled_from([0.0, -0.0]))
+
+    def factor(n, first, rest):
+        terms = []
+        for _ in range(n):
+            mode = (draw(st.integers(-first, first)),) + tuple(draw(st.integers(-rest, rest)) for _ in range(d - 1))
+            terms.append((mode, complex(draw(reals), draw(parts))))
+        return FourierElement(d, terms)
+
+    f = factor(draw(st.integers(8, 40)), 8, 1)
+    g = factor(draw(st.integers(2, 7)), 2, 2) + FourierElement.character((0, 1) + (0,) * (d - 2))
+    return f, g
+
+
 class TestProductBlocks:
     """The row-blocked products against the all-pairs references, on blocks of a few pairs."""
 
@@ -318,6 +374,31 @@ class TestProductBlocks:
             got_pointwise = pointwise_mul(f, g, cap=128)
         assert_same_bits(got, reference_deformed_mul(f, g, hbar, J, cap=128))
         assert_same_bits(got_pointwise, reference_pointwise_mul(f, g, cap=128))
+
+    @given(pair=widening_pairs(), block=st.sampled_from([1, 8, 32]), hbar=st.sampled_from([0.1, -0.37, 0.0125]))
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    def test_later_blocks_widen_the_table(self, pair, block, hbar):
+        f, g = pair
+        J = SymplecticStructure.standard(f.dim)
+        ranges = []
+
+        def spy(fn, J, n_pairs):
+            phases = _on_pairings(fn, J, n_pairs)
+
+            def on_block(pairing):
+                ranges.append((pairing.min(), pairing.max()))
+                return phases(pairing)
+
+            return on_block
+
+        with mock.patch.object(deform, "_on_pairings", spy), mock.patch.object(lattice, "CONVOLVE_BLOCK", block):
+            got = deformed_mul(f, g, hbar, J, cap=128)
+        lo, hi = np.minimum.accumulate([r[0] for r in ranges]), np.maximum.accumulate([r[1] for r in ranges])
+        # a block past the first reaches beyond every block before it, and the
+        # whole range stays a table (no more integers than the product has pairs)
+        assume(len(ranges) > 1 and ((lo[1:] < lo[:-1]) | (hi[1:] > hi[:-1])).any())
+        assume(_table_fits(lo[-1], hi[-1], f.n_modes * g.n_modes))
+        assert_same_bits(got, reference_deformed_mul(f, g, hbar, J, cap=128))
 
     def test_block_rows(self):
         with mock.patch.object(lattice, "CONVOLVE_BLOCK", 7):

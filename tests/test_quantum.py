@@ -34,7 +34,13 @@ from nctorus.deform import (
 )
 from nctorus.quantum import EvolutionResult
 
-from conftest import STRUCTURES, assert_same_bits, elements_nd, reference_evolution_generator
+from conftest import (
+    STRUCTURES,
+    assert_same_bits,
+    elements_nd,
+    reference_evolution_generator,
+    reference_exp_deformed,
+)
 
 e = FourierElement.character
 unit = FourierElement.unit
@@ -123,6 +129,75 @@ class TestExpDeformed:
         # powers of e_{(1,0)} stay on the (n, 0) line with trivial cocycle
         assert res.element.coefficient((2, 0)) == pytest.approx((0.5j) ** 2 / 2)
         assert res.discarded_mass < 1e-12
+
+
+def assert_same_series(got, want):
+    """The same modes, and coefficients within 4 eps times the l1 norm: the terms are rounded in another order."""
+    assert np.array_equal(got.modes, want.modes)
+    assert np.abs(got.coeffs - want.coeffs).max() <= 4 * np.finfo(float).eps * want.l1()
+
+
+#: (d, index into STRUCTURES[d]): integral J in d = 1-3, non-integral in d = 2, 3.
+SERIES_STRUCTURES = [(1, 0), (2, 0), (2, 1), (3, 0), (3, 1)]
+
+
+class TestSeriesAgainstTermByTerm:
+    """`exp_deformed` and `unitary_propagator` against the series summed term by term (conftest)."""
+
+    @pytest.mark.parametrize("dim, which", SERIES_STRUCTURES)
+    @pytest.mark.parametrize("radius", [64, 3], ids=["whole", "truncated"])
+    def test_exp_deformed(self, dim, which, radius):
+        J = SymplecticStructure(STRUCTURES[dim][which])
+        g = random_real_element(np.random.default_rng(10 * dim + which), dim, 2, 3)
+        f = (2.5j / g.l1()) * g
+        got = exp_deformed(f, 0.13, J, trunc_radius=radius)
+        want = reference_exp_deformed(f, 0.13, J, trunc_radius=radius)
+        assert got.steps == want.steps
+        assert_same_series(got.element, want.element)
+        # the truncation fires only on the small radius; the bound holds the
+        # mass it drops, and more
+        assert (want.discarded_mass > 0.0) == (radius == 3)
+        assert got.discarded_mass >= want.discarded_mass
+
+    @pytest.mark.parametrize("dim, which", SERIES_STRUCTURES)
+    def test_unitary_propagator(self, dim, which, monkeypatch):
+        J = SymplecticStructure(STRUCTURES[dim][which])
+        H = random_real_element(np.random.default_rng(dim + which), dim, 1, 3)
+        qh = QuantumHamiltonian(H, 0.1)
+        t = 10.0 * 0.1 / (np.pi * H.l1())  # phase 10: three substeps
+        got = unitary_propagator(qh, t, J, trunc_radius=8)
+        monkeypatch.setattr(quantum, "exp_deformed", reference_exp_deformed)
+        want = unitary_propagator(qh, t, J, trunc_radius=8)
+        assert got.steps == want.steps == 3
+        assert_same_series(got.element, want.element)
+
+
+class TestSeriesDiscardedMass:
+    @pytest.mark.parametrize("radius, tol", [(4, 1e-12), (64, 1e-4)], ids=["truncated", "tail"])
+    def test_bounds_the_distance_to_a_wider_series(self, J, radius, tol):
+        f = 1j * generic_hamiltonian()
+        got = exp_deformed(f, 0.1, J, tol=tol, trunc_radius=radius)
+        wide = exp_deformed(f, 0.1, J, tol=1e-15, trunc_radius=64)
+        assert wide.discarded_mass < 1e-14
+        distance = (got.element - wide.element).l1()
+        assert 0.0 < distance <= got.discarded_mass
+
+    def test_dropped_mass_alone_falls_short(self, J):
+        # the mass the truncations drop, summed, misses what each drop would
+        # have fed into the later terms: 8.7e-2 against a distance of 1.30e-1,
+        # which the bound, 1.37e-1, holds
+        f = e((1, 0)) + e((0, 1))
+        got = exp_deformed(f, 0.13, J, trunc_radius=3)
+        distance = (got.element - exp_deformed(f, 0.13, J, tol=1e-15, trunc_radius=64).element).l1()
+        dropped = reference_exp_deformed(f, 0.13, J, trunc_radius=3).discarded_mass
+        assert dropped < distance <= got.discarded_mass
+
+    def test_conjugation_counts_both_factors(self, J):
+        qh = QuantumHamiltonian(generic_hamiltonian(), 0.1)
+        up = unitary_propagator(qh, 0.2, J, trunc_radius=4)
+        assert up.discarded_mass > 0.0
+        res = conjugation_evolve(e((0, 1)), qh, 0.2, J, trunc_radius=4)
+        assert res.discarded_mass == 2.0 * up.discarded_mass
 
 
 class TestPropagator:
@@ -224,6 +299,23 @@ class TestHeisenbergEvolve:
         f = e((0, 1)) + e((0, -1))  # real observable
         res = heisenberg_evolve(f, qh, 0.2, J, trunc_radius=40)
         assert res.element.is_real(1e-8)
+
+    def test_validated_hamiltonian_is_not_checked_again(self, J, monkeypatch):
+        # QuantumHamiltonian has checked H's reality and H cannot change after;
+        # `evolve` called directly keeps its own check
+        qh = QuantumHamiltonian(generic_hamiltonian(), 0.1)
+        calls = []
+        is_real = FourierElement.is_real
+
+        def counted(self, *args, **kwargs):
+            calls.append(self)
+            return is_real(self, *args, **kwargs)
+
+        monkeypatch.setattr(FourierElement, "is_real", counted)
+        res = heisenberg_evolve(e((0, 1)), qh, 0.1, J, trunc_radius=24)
+        assert calls == []
+        assert_same_bits(res.element, evolve(e((0, 1)), qh.base, 0.1, 0.1, J, trunc_radius=24).element)
+        assert len(calls) == 1
 
     def test_linearity(self, J, shear_hamiltonian):
         qh = QuantumHamiltonian(shear_hamiltonian, 0.1)
