@@ -14,9 +14,11 @@ gather operator on a finite mode set, whose hbar = 0 limit is the
 Liouville operator F -> {H, F}.  `evolve` applies its exponential with a
 Chebyshev-Bessel series, for the quantum flow and the classical
 transport alike.  Only the generator's weights depend on hbar, so
-`_evolve_column` evolves one f for several hbar at one t as one block:
-one mode set, one gather layout and one recurrence, each row the result
-`evolve` gives for its hbar alone, to the bit.
+`_generator` builds the operators of several hbar as the rows of one
+block in one call, their sines by the rule of the product's phases
+(`_on_pairings`), and `_evolve_column` evolves one f for those hbar at
+one t: one mode set, one gather layout and one recurrence, each row the
+result `evolve` gives for its hbar alone, to the bit.
 """
 
 from __future__ import annotations
@@ -117,21 +119,11 @@ def _table_fits(lo, hi, size):
     return max(abs(lo), abs(hi)) < 2**53 and hi - lo + 1 <= size
 
 
-def _table_range(pairing, J):
-    """The range (lo, hi) of `pairing` if a table of its integers (`_table_fits`) may serve it, else None.
-
-    For an integral J every pairing p . (J q) is an integer-valued float.
-    """
-    if not J._integral:
-        return None
-    lo, hi = pairing.min(), pairing.max()
-    if _table_fits(lo, hi, pairing.size):
-        return int(lo), int(hi)
-    return None
-
-
 def _on_pairings(fn, J, n_pairs):
     """`fn` of the pairings k = p . (J q) of one product's blocks, as a function of a block's pairings.
+
+    `deformed_mul` takes its phases and `_generator` its sines by it;
+    the generator's pairings are one block.
 
     For an integral J the product keeps one table of `fn` on the
     integers of a range [lo, hi]; the first block builds it on its own
@@ -423,7 +415,7 @@ class _GatherOperator:
     def column_l1(self):
         """The l1 norm of each column of the block, flat, each summed from 0.0 over the terms in reverse order.
 
-        For `_Generator` that is ascending row order, as in CSR.
+        For a `_generator` block that is ascending row order, as in CSR.
         """
         _, m, n = self.weight.shape
         index = self.source[::-1, None, :] + n * np.arange(m)[:, None]
@@ -456,8 +448,8 @@ class _GatherOperator:
         return dense
 
 
-class _Generator:
-    """F -> (pi/(i hbar)) [H, F]_h on coefficient vectors over `modes`, set up once for every hbar.
+def _generator(H, J, modes, hbars):
+    """F -> (pi/(i hbar)) [H, F]_h on coefficient vectors over `modes`, row i of the block at hbars[i].
 
     `modes` must be nonempty and sorted lexicographically.  The column
     of mode r holds c_p w(p, r) in the row of r + p for each mode p of H,
@@ -466,76 +458,61 @@ class _Generator:
     Liouville operator F -> {H, F}; targets outside `modes` and entries
     with w = 0 are left out.  For real H the operator is anti-Hermitian.
 
-    Only w depends on hbar.  The constructor finds, for each target mode
-    m and each mode p of H, the source r = m - p, whether r lies outside
-    `modes`, and the pairing p.Jr; `operator` turns them into the
-    weights of one generator per hbar.  Term k of the operator is mode
-    p_k of H, taken in reverse: row m then sums its sources m - p_k in
-    ascending (lexicographic) order, and a column sums its targets r +
-    p_k in ascending order too, which is the order of a canonical
-    compressed sparse matrix, so the matvec and the column norms are
-    those of one to the bit.  A slot whose source lies outside `modes`,
-    or whose entry has w = 0, has weight 0 (up to sign), which adds
-    nothing to a sum that starts from 0.0.
+    Only w depends on hbar: for each target mode m and each mode p of H
+    the source r = m - p, whether r lies outside `modes`, and the
+    pairing p.Jr are found once for every row.  The sines of each hbar
+    come from `_on_pairings`, the rule of the product's phases: a table
+    over the integer pairings of an integral J, else one `np.sin` per
+    pair, with the same bits either way.  Term k of the
+    `_GatherOperator` is mode p_k of H, taken in reverse: row m then
+    sums its sources m - p_k in ascending (lexicographic) order, and a
+    column sums its targets r + p_k in ascending order too, which is the
+    order of a canonical compressed sparse matrix, so the matvec and the
+    column norms are those of one to the bit.  A slot whose source lies
+    outside `modes`, or whose entry has w = 0, has weight 0 (up to
+    sign), which adds nothing to a sum that starts from 0.0.
     """
-
-    def __init__(self, H, J, modes):
-        n, d = modes.shape
-        # a key box wide enough for every source, so keys never wrap
-        radius = int(np.abs(modes).max()) + H.support_radius()
-        mode_keys = _mode_keys(modes, radius)
-        pairing = (H.modes @ J.J) @ modes.T  # (nH, n) of p . (J r)
-        # keys are linear in the mode, so the source r - p of mode r has the key key(r) - key(p)
-        shifts = _box_keys(H.modes[::-1], (0,) * d, (2 * radius + 1,) * d)
-        source_keys = mode_keys[None, :] - shifts[:, None]
-        self.source = np.searchsorted(mode_keys, source_keys).clip(max=n - 1)
-        self.missing = mode_keys[self.source] != source_keys
-        self.coeffs = H.coeffs[::-1, None, None]
-        self.pairing = np.take_along_axis(pairing[::-1], self.source, axis=1)
-        # with a table (`_table_range`), the sines of each hbar are taken once per integer
-        table_range = _table_range(pairing, J)
-        self.table = None
-        if table_range is not None:
-            lo, hi = table_range
-            self.table = np.arange(lo, hi + 1, dtype=np.float64), self.pairing.astype(np.int64) - lo
-
-    def operator(self, hbars):
-        """The generators at `hbars`, row i of the block at hbars[i], as a `_GatherOperator`."""
-        shape = np.empty((self.pairing.shape[0], len(hbars), self.pairing.shape[1]))
-        scale = np.empty(len(hbars))
-        for i, hbar in enumerate(hbars):
-            if hbar == 0.0:
-                shape[:, i] = self.pairing
-                scale[i] = -4.0 * np.pi**2
-            elif self.table is None:
-                shape[:, i] = np.sin(2.0 * np.pi * hbar * self.pairing)
-                scale[i] = -2.0 * np.pi / hbar
-            else:
-                integers, index = self.table
-                np.take(np.sin(2.0 * np.pi * hbar * integers), index, out=shape[:, i])
-                scale[i] = -2.0 * np.pi / hbar
-        weight = self.coeffs * scale[:, None] * shape
-        np.copyto(weight, 0.0, where=self.missing[:, None, :])
-        return _GatherOperator(self.source, weight)
+    n, d = modes.shape
+    # a key box wide enough for every source, so keys never wrap
+    radius = int(np.abs(modes).max()) + H.support_radius()
+    mode_keys = _mode_keys(modes, radius)
+    # keys are linear in the mode, so the source r - p of mode r has the key key(r) - key(p)
+    shifts = _box_keys(H.modes[::-1], (0,) * d, (2 * radius + 1,) * d)
+    source_keys = mode_keys[None, :] - shifts[:, None]
+    source = np.searchsorted(mode_keys, source_keys).clip(max=n - 1)
+    missing = mode_keys[source] != source_keys
+    # p . (J r) of each slot's mode p of H and source r
+    pairing = np.take_along_axis(((H.modes @ J.J) @ modes.T)[::-1], source, axis=1)
+    shape = np.empty((pairing.shape[0], len(hbars), n))
+    scale = np.empty(len(hbars))
+    for i, hbar in enumerate(hbars):
+        if hbar == 0.0:
+            shape[:, i], scale[i] = pairing, -4.0 * np.pi**2
+        else:
+            sines = _on_pairings(lambda k: np.sin(2.0 * np.pi * hbar * k), J, pairing.size)
+            shape[:, i], scale[i] = sines(pairing), -2.0 * np.pi / hbar
+    weight = H.coeffs[::-1, None, None] * scale[:, None] * shape
+    np.copyto(weight, 0.0, where=missing[:, None, :])
+    return _GatherOperator(source, weight)
 
 
-def _evolution_plan(f, H, J, trunc_radius):
-    """The hbar-independent set-up of the evolution of nonzero f.
+def _evolution_plan(f, H, J, trunc_radius, hbars):
+    """The set-up of the evolution of nonzero f at each hbar of `hbars`.
 
-    Returns `(modes, G, v, outside)`: the modes reachable from supp f by
+    Returns `(modes, L, v, outside)`: the modes reachable from supp f by
     adding modes of H within radius max(trunc_radius, radius of f) +
-    4 rH (rH the support radius of H, at least 1), the `_Generator` of
-    H on them, f's coefficient vector over `modes`, and the indices of
-    the modes with |r|_inf > trunc_radius, whose mass the caller
-    discards.
+    4 rH (rH the support radius of H, at least 1), the `_generator` of
+    H on them at `hbars`, f's coefficient vector over `modes`, and the
+    indices of the modes with |r|_inf > trunc_radius, whose mass the
+    caller discards.
     """
     reach = max(trunc_radius, f.support_radius()) + 4 * max(H.support_radius(), 1)
     modes = _reachable_modes(f.modes, H.modes, reach)
-    G = _Generator(H, J, modes)
+    L = _generator(H, J, modes, hbars)
     v = np.zeros(modes.shape[0], dtype=np.complex128)
     v[np.searchsorted(_mode_keys(modes, reach), _mode_keys(f.modes, reach))] = f.coeffs
     outside = np.flatnonzero(np.abs(modes).max(axis=1) > trunc_radius)
-    return modes, G, v, outside
+    return modes, L, v, outside
 
 
 #: Bound on the l1 weight 2 sum_{k >= K} |J_k(t rho)| of the Chebyshev
@@ -563,7 +540,7 @@ def _check_series_length(z):
 def _column_l1(H, hbar, J, modes):
     """The l1 norm of the generator's column at each of `modes`, every target kept.
 
-    The entries are those of `_Generator`.  On the mode set of
+    The entries are those of `_generator`.  On the mode set of
     `_evolution_plan` the columns of supp f keep all their targets, so
     their largest norm is a lower bound on ||L||_1 that needs no mode set.
     """
@@ -581,10 +558,15 @@ def check_evolution_time(f, H, hbar, t, J):
     The test is |t| times the largest column l1 norm of the generator
     over supp f, a lower bound on the series argument of every mode
     set that `evolve` builds, so it needs no mode set.  A scan checks
-    its largest t with it before computing any record.
+    its largest t with it before computing any record.  A nonzero hbar
+    so small that the generator's scale 2 pi/|hbar| overflows raises
+    `ConfigError` too, whatever f and t.
     """
+    hbar = _as_hbar(hbar)
+    if hbar != 0.0 and not math.isfinite(2.0 * math.pi / abs(hbar)):
+        raise ConfigError(f"hbar = {hbar!r} is too small: 2 pi/|hbar| overflows a float")
     if f.n_modes:
-        _check_series_length(abs(t) * _column_l1(H, _as_hbar(hbar), J, f.modes).max())
+        _check_series_length(abs(t) * _column_l1(H, hbar, J, f.modes).max())
 
 
 def bessel_j(z):
@@ -705,9 +687,7 @@ def _evolve_column(f, H, hbars, t, J, trunc_radius=32):
     # refuse a runaway t before the mode set, which grows with the radius, is built
     for h in hbars:
         check_evolution_time(f, H, h, t, J)
-    modes, G, v, outside = _evolution_plan(f, H, J, trunc_radius)
-    L = G.operator(hbars)
-    del G  # its pairings need not stay through the series
+    modes, L, v, outside = _evolution_plan(f, H, J, trunc_radius, hbars)
     V, terms, tails = _chebyshev_propagate(L, v, t)
     results = []
     for row, steps, tail in zip(V, terms.tolist(), tails.tolist()):
@@ -733,7 +713,8 @@ def evolve(f, H, hbar, t, J, trunc_radius=32):
     randomness.  This is the one-row case of `_evolve_column`, which
     solves several hbar at one t as one block.  A series argument z =
     |t| ||L||_1 above `MAX_SERIES_Z` raises `ConfigError`; a t far past
-    that limit is refused before the mode set is built.  An H that fails
+    that limit, or an hbar whose 2 pi/|hbar| overflows, is refused
+    before the mode set is built (`check_evolution_time`).  An H that fails
     the reality test raises `RealityError`, for f = 0 too.
 
     `discarded_mass` bounds, in l1 and hence in every C*-norm, what the

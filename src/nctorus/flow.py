@@ -34,6 +34,11 @@ from .lattice import (
 )
 
 
+#: Grid points per Nyquist point of the grid suprema that
+#: `VectorField.sup_jacobian_norm` and `gronwall_bound` take.
+OVERSAMPLE = 4
+
+
 class VectorField:
     """A smooth vector field on T^d with real-valued components.
 
@@ -43,7 +48,7 @@ class VectorField:
         The d components; each must pass the reality test.
     """
 
-    def __init__(self, components, reality_tol=1e-10):
+    def __init__(self, components):
         components = tuple(components)
         if not components:
             raise ValueError("vector field needs at least one component")
@@ -53,7 +58,7 @@ class VectorField:
         for c in components:
             if c.dim != dim:
                 raise ValueError("component dimension mismatch")
-            if not c.is_real(reality_tol):
+            if not c.is_real():
                 raise RealityError("vector field component fails the reality test")
         self.dim = dim
         self.components = components
@@ -82,17 +87,17 @@ class VectorField:
     def support_radius(self):
         return max(c.support_radius() for c in self.components)
 
-    def sup_jacobian_norm(self, oversample=4):
+    def sup_jacobian_norm(self):
         """Grid supremum of the operator norm of D Phi.
 
-        The grid resolution is `oversample` times the Nyquist
+        The grid resolution is `OVERSAMPLE` times the Nyquist
         requirement; the O(G^-2) underestimate is absorbed by the
         (1 + 1e-6) slack used wherever this value certifies a bound.
         """
         radius = max(
             el.support_radius() for row in self._jacobian_elements for el in row
         )
-        G = max(oversample * (2 * radius + 1), 8)
+        G = max(OVERSAMPLE * (2 * radius + 1), 8)
         jac = self.jacobian_eval(_uniform_grid(self.dim, G))
         svals = np.linalg.svd(jac, compute_uv=False)
         return float(svals[:, 0].max())
@@ -139,7 +144,6 @@ class FlowResult:
     jacobians: np.ndarray | None
     t: float
     steps: int
-    stepper: str = "rk4-fixed"
 
     def jacobian_determinants(self):
         if self.jacobians is None:
@@ -284,7 +288,7 @@ def _bell_partial(n, m, x):
     return total
 
 
-def gronwall_bound(Phi, t, k, oversample=4):
+def gronwall_bound(Phi, t, k):
     """Certified a priori bound on ||D^k beta(t, .)||.
 
     k = 1 returns exp(t ||D Phi||_inf); k >= 2 applies the recursive
@@ -296,12 +300,12 @@ def gronwall_bound(Phi, t, k, oversample=4):
         raise ValueError("derivative order must be >= 1")
     if t < 0:
         raise ValueError("t must be >= 0")
-    L = Phi.sup_jacobian_norm(oversample=oversample)
+    L = Phi.sup_jacobian_norm()
     bounds = {1: math.exp(t * L)}
     if k == 1:
         return bounds[1]
     radius = Phi.support_radius()
-    G = max(oversample * (2 * radius + 1), 8)
+    G = max(OVERSAMPLE * (2 * radius + 1), 8)
 
     @lru_cache(maxsize=None)
     def dphi_sup(m):

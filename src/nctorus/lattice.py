@@ -103,21 +103,21 @@ def _distinct(a):
     return a[keep]
 
 
-def _box_terms(acc, lo, sides, prune_tol):
+def _box_terms(acc, lo, sides):
     """The nonzero bins of an accumulator `acc` over the box with corner `lo` and `sides`.
 
-    Returns the modes and sums of the bins above `prune_tol`, in key
+    Returns the modes and sums of the bins above `PRUNE_TOL`, in key
     order, which is the lexicographic order of the modes.
     """
     # empty bins hold exact zeros, which the pruning below drops anyway
     uniq = np.flatnonzero(acc)
     summed = acc[uniq]
-    keep = np.abs(summed) > prune_tol
+    keep = np.abs(summed) > PRUNE_TOL
     modes = np.stack(np.unravel_index(uniq[keep], sides), axis=1) + lo
     return modes, summed[keep]
 
 
-def _sum_box(keys, coeffs, lo, sides, size, prune_tol):
+def _sum_box(keys, coeffs, lo, sides, size):
     """`_coalesce` on the `_box_keys` of rows in a box of `size` bins: modes and sums in key order.
 
     `np.add.at` sums every bin of the box from 0.0 in input order, and
@@ -125,10 +125,10 @@ def _sum_box(keys, coeffs, lo, sides, size, prune_tol):
     """
     acc = np.zeros(size, dtype=np.complex128)
     np.add.at(acc, keys, coeffs)
-    return _box_terms(acc, lo, sides, prune_tol)
+    return _box_terms(acc, lo, sides)
 
 
-def _sum_lexsort(modes, coeffs, prune_tol):
+def _sum_lexsort(modes, coeffs):
     """`_coalesce` of nonempty rows by a lexsort: any box, however large."""
     n = modes.shape[0]
     order = np.lexsort(modes.T[::-1])  # stable; first coordinate is the primary key
@@ -140,18 +140,18 @@ def _sum_lexsort(modes, coeffs, prune_tol):
     inverse[order] = np.cumsum(starts) - 1
     summed = np.zeros(int(inverse[order[-1]]) + 1, dtype=np.complex128)
     np.add.at(summed, inverse, coeffs)
-    keep = np.abs(summed) > prune_tol
+    keep = np.abs(summed) > PRUNE_TOL
     return ordered[starts][keep], summed[keep]
 
 
-def _coalesce(dim, modes, coeffs, prune_tol=PRUNE_TOL):
+def _coalesce(dim, modes, coeffs):
     """Sum duplicate modes, prune tiny coefficients, sort lexicographically.
 
     Duplicates are summed in input order, so the result does not depend
     on how the sort breaks ties.  Rows whose bounding box holds at most
     `DENSE_BOX_FACTOR` bins per row are summed as 1-D keys over the box
     (`_sum_box`; such a box always has int64 keys); other rows are
-    lexsorted.  Both give the same bits.  `prune_tol` must be >= 0.
+    lexsorted.  Both give the same bits.
     """
     modes = np.asarray(modes, dtype=np.int64).reshape(-1, dim)
     coeffs = np.asarray(coeffs, dtype=np.complex128).reshape(-1)
@@ -163,18 +163,18 @@ def _coalesce(dim, modes, coeffs, prune_tol=PRUNE_TOL):
     lo, hi = _bounds(modes)
     sides, size = _box(lo, hi)
     if size <= DENSE_BOX_FACTOR * n:
-        return _sum_box(_box_keys(modes, lo, sides), coeffs, lo, sides, size, prune_tol)
-    return _sum_lexsort(modes, coeffs, prune_tol)
+        return _sum_box(_box_keys(modes, lo, sides), coeffs, lo, sides, size)
+    return _sum_lexsort(modes, coeffs)
 
 
-def _prune(modes, coeffs, prune_tol=PRUNE_TOL):
+def _prune(modes, coeffs):
     """`_coalesce` of rows that are already distinct and sorted: only the pruning.
 
     Adding 0.0 repeats the one addition a bin of `_coalesce` makes, which
     turns a -0.0 part into 0.0, so the bits match.
     """
     coeffs = coeffs + 0.0
-    keep = np.abs(coeffs) > prune_tol
+    keep = np.abs(coeffs) > PRUNE_TOL
     return modes[keep], coeffs[keep]
 
 
@@ -225,11 +225,11 @@ def _convolve(f, g, block_coeffs, cap, what):
             rows = slice(start, stop)
             keys = f_keys[rows, None] + g_keys[None, :]
             np.add.at(acc, keys.reshape(-1), block_coeffs(rows).reshape(-1))
-        modes, coeffs = _box_terms(acc, lo, sides, PRUNE_TOL)
+        modes, coeffs = _box_terms(acc, lo, sides)
     else:
         modes = (f.modes[:, None, :] + g.modes[None, :, :]).reshape(-1, f.dim)
         coeffs = block_coeffs(slice(0, f.n_modes)).reshape(-1)
-        modes, coeffs = _sum_lexsort(modes, coeffs, PRUNE_TOL)
+        modes, coeffs = _sum_lexsort(modes, coeffs)
     if max(map(abs, lo + hi)) > cap and modes.shape[0] and np.abs(modes).max() > cap:
         raise TruncationOverflowError(
             f"{what} support radius {np.abs(modes).max()} exceeds cap {cap}"

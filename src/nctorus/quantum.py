@@ -86,7 +86,7 @@ def _series_remainder(a, drops, last):
     return bound
 
 
-def exp_deformed(f, hbar, J, tol=1e-12, trunc_radius=64, max_terms=None):
+def exp_deformed(f, hbar, J, tol=1e-12, trunc_radius=64):
     """The deformed exponential sum_n f^(x_h n) / n!.
 
     Term n is term n - 1 times f / n, and terms are taken until one's
@@ -108,8 +108,7 @@ def exp_deformed(f, hbar, J, tol=1e-12, trunc_radius=64, max_terms=None):
     r = f.support_radius()
     cap = trunc_radius + max(r, 1)
     a = f.l1()
-    if max_terms is None:
-        max_terms = int(3 * a) + 60
+    max_terms = int(3 * a) + 60
     term = FourierElement.unit(f.dim)
     terms, drops = [term], []
     prev_norm = np.inf
@@ -146,19 +145,25 @@ def _propagator_radius(qh, t, trunc_radius):
     return max(trunc_radius, rH * (math.ceil(phase) + 32))
 
 
-def unitary_propagator(qh, t, J, tol=1e-12, trunc_radius=32, max_substep_phase=4.0):
+#: Largest phase |t| pi ||H||_l1 / |hbar| that `unitary_propagator`
+#: exponentiates by one series.
+MAX_SUBSTEP_PHASE = 4.0
+
+
+def unitary_propagator(qh, t, J, tol=1e-12, trunc_radius=32):
     """The propagator u_t = exp_h(i t (-pi/hbar) H).
 
-    For large |t| pi ||H||_l1 / hbar the interval is split into
-    substeps, each exponentiated by a short series and composed with
-    the deformed product (semigroup property); the effective truncation
-    radius is widened to hold the propagator's spectral spread.
+    For |t| pi ||H||_l1 / hbar above `MAX_SUBSTEP_PHASE` the interval
+    is split into substeps, each exponentiated by a short series and
+    composed with the deformed product (semigroup property); the
+    effective truncation radius is widened to hold the propagator's
+    spectral spread.
     """
     h = qh.hbar.hbar
     if t == 0.0:
         return EvolutionResult(FourierElement.unit(qh.base.dim), 0.0, 0)
     phase = abs(t) * np.pi * qh.base.l1() / abs(h)
-    n_sub = max(1, math.ceil(phase / max_substep_phase))
+    n_sub = max(1, math.ceil(phase / MAX_SUBSTEP_PHASE))
     radius = _propagator_radius(qh, t, trunc_radius)
     g = (1j * (t / n_sub)) * qh.scaled
     step = exp_deformed(g, h, J, tol=tol, trunc_radius=radius)

@@ -133,7 +133,7 @@ def reference_reachable_modes(start, shifts, radius):
 
 
 def reference_evolution_generator(H, hbar, J, modes):
-    """Reference for `_Generator`: the same entries as a scipy CSR matrix.
+    """Reference for `deform._generator` at one hbar: the same entries as a scipy CSR matrix.
 
     The column of mode r holds c_p w(p, r) in the row of r + p, found by
     searching the key of r + p; targets outside `modes` and entries with

@@ -21,7 +21,7 @@ from nctorus import (
 )
 import nctorus.lattice as lattice
 import nctorus.deform as deform
-from nctorus.deform import _on_pairings, _reachable_modes, _table_fits, _table_range
+from nctorus.deform import _on_pairings, _reachable_modes, _table_fits
 from nctorus.errors import TruncationOverflowError
 from nctorus.lattice import _row_blocks
 from nctorus.harness import fit_order
@@ -217,7 +217,7 @@ class TestDeformedMulKeys:
     def check_phase_path(f, g, hbar, J, table):
         """Bit-identical to the reference, on the phase table or on the per-pair exp."""
         pairing = (f.modes @ J.J) @ g.modes.T
-        assert (_table_range(pairing, J) is not None) == table
+        assert (J._integral and _table_fits(pairing.min(), pairing.max(), pairing.size)) == table
         assert_same_bits(
             deformed_mul(f, g, hbar, J, cap=2**62), reference_deformed_mul(f, g, hbar, J, cap=2**62)
         )

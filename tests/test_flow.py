@@ -16,7 +16,7 @@ from nctorus import (
     pullback,
     torus_distance,
 )
-from nctorus.deform import _Generator, _reachable_modes, bessel_j
+from nctorus.deform import _generator, _reachable_modes, bessel_j
 from nctorus.errors import RealityError, SpectralResolutionError, UnderResolvedGridError
 from nctorus.flow import classical_evolve, step_count
 
@@ -225,7 +225,7 @@ class TestClassicalEngine:
         J = SymplecticStructure.standard(dim)
         H = random_real_element(rng, dim, radius=1, n_terms=4)
         modes = _reachable_modes(np.zeros((1, dim), dtype=np.int64), H.modes, 2)
-        L = _Generator(H, J, modes).operator([0.0]).toarray()
+        L = _generator(H, J, modes, [0.0]).toarray()
         assert np.array_equal(L, -L.conj().T)  # anti-Hermitian entrywise
         row = {m: i for i, m in enumerate(map(tuple, modes.tolist()))}
         # columns whose targets r + p all lie inside the mode set

@@ -2,6 +2,7 @@ import json
 
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nctorus.cstar as cstar
+import nctorus.deform as deform
 import nctorus.flow as flow
 import nctorus.harness as harness
 from nctorus import FourierElement, SymplecticStructure, op_norm_estimate
@@ -431,6 +433,16 @@ class TestScan:
         with pytest.raises(ConfigError, match="series of length"):
             scan(small_config(t_grid=(1e6, 0.05)), write=False)
 
+    def test_subnormal_hbar_is_refused_before_any_mode_set(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("mode set built for a refused hbar")
+
+        monkeypatch.setattr(deform, "_evolution_plan", unreachable)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="hbar = 1e-310 is too small"):
+                scan(small_config(hbar_grid=(0.1, 1e-310, 0.05)), write=False)
+
     def test_validated_hamiltonian_is_not_checked_again(self, monkeypatch):
         # ExperimentConfig has checked H's reality and H cannot change after,
         # so a scan builds no vector field and runs no reality test
@@ -672,6 +684,18 @@ class TestCli:
         assert time.perf_counter() - start < 1.0
         assert code == 2
         assert "series of length" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("t", ["0", "0.1"])
+    def test_subnormal_hbar_exits_2(self, t, capsys):
+        # 2 pi/|hbar| overflows: the message names hbar, not a series length
+        # of nan or inf, and no RuntimeWarning is raised on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["evolve-quantum", "--f", json.dumps(OBS), "--hamiltonian",
+                         json.dumps(SHEAR), "--hbar", "1e-310", "--t", t])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "hbar = 1e-310 is too small" in err and "series of length" not in err
 
     def test_uncreatable_output_dir_exits_2(self, tmp_path, capsys, monkeypatch):
         # the output directory is made before the first record, so a path

@@ -1,4 +1,6 @@
 import tracemalloc
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,12 +27,12 @@ from nctorus.errors import ConfigError, RealityError, TruncationOverflowError
 from nctorus.deform import (
     CHEBYSHEV_TAIL,
     MAX_SERIES_Z,
-    _Generator,
     _chebyshev_propagate,
     _evolution_plan,
     _evolve_column,
+    _generator,
     _reachable_modes,
-    _table_range,
+    _table_fits,
 )
 from nctorus.quantum import EvolutionResult
 
@@ -335,7 +337,7 @@ class TestGeneratorEngine:
         F = random_real_element(rng, dim, radius=2, n_terms=6) + 0.7j * e((0,) * dim)
         # every product mode of F and H lies within radius 3
         modes = _reachable_modes(F.modes, H.modes, 3)
-        L = _Generator(H, J, modes).operator([hbar])
+        L = _generator(H, J, modes, [hbar])
         row = {tuple(m): i for i, m in enumerate(modes.tolist())}
         v = np.zeros(len(row), dtype=complex)
         v[[row[tuple(m)] for m in F.modes.tolist()]] = F.coeffs
@@ -362,7 +364,7 @@ class TestGeneratorEngine:
         J = SymplecticStructure(scale_J * SymplecticStructure.standard(dim).J)
         radius = data.draw(st.integers(1, 4 if dim == 2 else 2))
         modes = _reachable_modes(start.modes, H.modes, radius)
-        L = _Generator(H, J, modes).operator([hbar])
+        L = _generator(H, J, modes, [hbar])
         ref = reference_evolution_generator(H, hbar, J, modes)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         x = rng.standard_normal(modes.shape[0]) + 1j * rng.standard_normal(modes.shape[0])
@@ -380,7 +382,7 @@ class TestGeneratorEngine:
             tuple(-c for c in m): 0.7 - 0.2j for m in shifts
         })
         modes = _reachable_modes(np.zeros((1, 2), dtype=np.int64), H.modes, 4)
-        L = _Generator(H, J, modes).operator([0.1])
+        L = _generator(H, J, modes, [0.1])
         ref = reference_evolution_generator(H, 0.1, J, modes)
         x = [1.0, 1j] @ np.random.default_rng(3).standard_normal((2, modes.shape[0]))
         assert L.matvec(x).tobytes() == (ref @ x).tobytes()
@@ -391,13 +393,59 @@ class TestGeneratorEngine:
         J = SymplecticStructure(scale_J * SymplecticStructure.standard().J)
         H = generic_hamiltonian() + (0.3 + 0.1j) * e((2, -1)) + (0.3 - 0.1j) * e((-2, 1))
         modes = _reachable_modes(np.array([[0, 1]]), H.modes, 9)
-        assert (_table_range((H.modes @ J.J) @ modes.T, J) is not None) == table
-        L = _Generator(H, J, modes).operator([0.0125])
+        pairing = (H.modes @ J.J) @ modes.T  # the generator's pairings lie in its range
+        assert (J._integral and _table_fits(pairing.min(), pairing.max(), pairing.size)) == table
+        L = _generator(H, J, modes, [0.0125])
         ref = reference_evolution_generator(H, 0.0125, J, modes)
         x = [1.0, 1j] @ np.random.default_rng(5).standard_normal((2, modes.shape[0]))
         assert L.matvec(x).tobytes() == (ref @ x).tobytes()
         assert L.column_l1().tobytes() == abs(ref).sum(axis=0).tobytes()
         assert np.array_equal(L.toarray(), ref.toarray())
+
+    @pytest.mark.parametrize("case", ["table", "integral-per-pair", "non-integral"])
+    @given(
+        hbars=st.lists(st.sampled_from([0.1, -0.37, 0.0125, 1.0]), min_size=1, max_size=3),
+        at=st.integers(0, 3),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_block_rows_are_the_one_row_generators(self, case, hbars, at, data):
+        # row i of a block is the generator at hbars[i] alone, whichever way its
+        # sines came: from a table (integral J, `_table_fits`), from one np.sin
+        # per pair of an integral J whose pairings span more integers than
+        # there are pairs, or from one np.sin per pair of a non-integral J
+        hbars.insert(min(at, len(hbars)), 0.0)
+        scale = {"table": 1.0, "integral-per-pair": 2.0**20, "non-integral": 0.37}[case]
+        J = SymplecticStructure(scale * SymplecticStructure.standard().J)
+        H = data.draw(elements_nd((2,), radius=1, max_terms=4))
+        H = H + H.star()
+        start = data.draw(elements_nd((2,), radius=1, max_terms=3))
+        assume(H.n_modes > 0 and start.n_modes > 0)
+        modes = _reachable_modes(start.modes, H.modes, data.draw(st.integers(1, 4)))
+        fits = []
+
+        def spy(lo, hi, size):
+            fits.append(_table_fits(lo, hi, size))
+            return fits[-1]
+
+        with mock.patch.object(deform, "_table_fits", spy):
+            L = _generator(H, J, modes, hbars)
+        n_sines = sum(h != 0.0 for h in hbars)
+        assume(fits == {"table": [True] * n_sines, "integral-per-pair": [False] * n_sines}.get(case, []))
+        n = modes.shape[0]
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        block = L.matvec(np.tile(x, len(hbars)))
+        norms = L.column_l1()
+        for i, hbar in enumerate(hbars):
+            one = _generator(H, J, modes, [hbar])
+            assert L.source.tobytes() == one.source.tobytes()
+            assert L.weight[:, i].tobytes() == one.weight[:, 0].tobytes()
+            assert {k: o for k, o, _ in one._layout}.items() <= {k: o for k, o, _ in L._layout}.items()
+            ref = reference_evolution_generator(H, hbar, J, modes)
+            assert one.matvec(x).tobytes() == (ref @ x).tobytes()
+            assert block[i * n : (i + 1) * n].tobytes() == (ref @ x).tobytes()
+            assert norms[i * n : (i + 1) * n].tobytes() == abs(ref).sum(axis=0).tobytes()
 
     def test_reachable_set_is_not_a_box(self):
         # the shear only moves along the first axis
@@ -415,8 +463,8 @@ class TestGeneratorEngine:
         qh = QuantumHamiltonian(generic_hamiltonian(), 0.1)
         res = heisenberg_evolve(unit(), qh, 0.2, J, trunc_radius=4)
         assert res.element == unit()
-        _, G, v, _ = _evolution_plan(unit(), qh.base, J, 4)
-        _, (terms,), (tail,) = _chebyshev_propagate(G.operator([0.1]), v, 0.2)
+        _, L, v, _ = _evolution_plan(unit(), qh.base, J, 4, [0.1])
+        _, (terms,), (tail,) = _chebyshev_propagate(L, v, 0.2)
         assert res.steps == terms
         assert res.discarded_mass == np.sqrt(v.size) * tail * unit().l2() > 0.0
 
@@ -433,8 +481,8 @@ class TestGeneratorEngine:
         qh = QuantumHamiltonian(shear_hamiltonian, 0.1)
         f = e((13, 1))
         res = heisenberg_evolve(f, qh, 0.01, J, trunc_radius=8)
-        _, G, v, outside = _evolution_plan(f, qh.base, J, 8)
-        (full,), _, _ = _chebyshev_propagate(G.operator([0.1]), v, 0.01)
+        _, L, v, outside = _evolution_plan(f, qh.base, J, 8, [0.1])
+        (full,), _, _ = _chebyshev_propagate(L, v, 0.01)
         assert res.element.support_radius() <= 8
         assert res.discarded_mass >= np.abs(full[outside]).sum() > 1.0
 
@@ -489,8 +537,8 @@ class TestChebyshevEvolve:
     def test_discarded_mass_covers_shell_and_series_tail(self, J):
         H = generic_hamiltonian()
         f = e((0, 1)) + 0.5j * e((1, -1))
-        _, G, v, outside = _evolution_plan(f, H, J, 3)
-        (full,), (terms,), (tail,) = _chebyshev_propagate(G.operator([0.2]), v, 0.1)
+        _, L, v, outside = _evolution_plan(f, H, J, 3, [0.2])
+        (full,), (terms,), (tail,) = _chebyshev_propagate(L, v, 0.1)
         shell = np.abs(full[outside]).sum()
         assert shell > 0.1 and 0.0 < tail <= CHEBYSHEV_TAIL
         res = evolve(f, H, 0.2, 0.1, J, trunc_radius=3)
@@ -511,11 +559,28 @@ class TestChebyshevEvolve:
         with pytest.raises(ConfigError, match="series of length"):
             evolve(e((0, 1)), shear_hamiltonian, hbar, 1e6, J)
 
+    @pytest.mark.parametrize("t", [0.0, 0.1])
+    def test_subnormal_hbar_is_refused(self, J, shear_hamiltonian, monkeypatch, t):
+        # 2 pi/|hbar| overflows a float: refused by name before the mode set,
+        # with no RuntimeWarning from an inf or nan series length
+        def unreachable(*args):
+            raise AssertionError("mode set built for a refused hbar")
+
+        monkeypatch.setattr(deform, "_evolution_plan", unreachable)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="hbar = 1e-310 is too small"):
+                evolve(e((0, 1)), shear_hamiltonian, 1e-310, t, J)
+            with pytest.raises(ConfigError, match="hbar = -1e-310 is too small"):
+                _evolve_column(e((0, 1)), shear_hamiltonian, (0.1, -1e-310, 0.0), t, J)
+        monkeypatch.undo()
+        # a tiny |hbar| whose 2 pi/|hbar| is finite is still served
+        assert evolve(e((0, 1)), shear_hamiltonian, 1e-300, t, J).element.n_modes > 0
+
     def test_series_length_limit(self, J):
         # f = 1 is fixed, so its own column gives no floor: the check on ||L||_1 refuses
         H = generic_hamiltonian()
-        _, G, v, _ = _evolution_plan(unit(), H, J, 4)
-        L = G.operator([0.1])
+        _, L, v, _ = _evolution_plan(unit(), H, J, 4, [0.1])
         rho = L.column_l1().max()
         _chebyshev_propagate(L, v, MAX_SERIES_Z / rho)
         with pytest.raises(ConfigError, match="series of length"):
