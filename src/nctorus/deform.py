@@ -33,9 +33,9 @@ from .lattice import (
     DEFAULT_MODE_CAP,
     FourierElement,
     _box_keys,
-    _coalesce,
     _convolve,
     _distinct,
+    _prune,
     partial_derivative,
     pointwise_mul,
 )
@@ -283,29 +283,38 @@ def _chain_ranges(modes, shift, radius):
 def _reachable_modes(start, shifts, radius):
     """Modes reachable from `start` by adding rows of `shifts`, inside |m|_inf <= radius.
 
-    `start` must lie inside the box.  When the shifts hold a unit step
-    +-e_a along every axis a, every mode of the convex box is reachable,
-    and the box is returned whole with no search.  Otherwise the set is
-    closed chain by chain.  Reachability is symmetric once the
-    shifts are closed under negation, so each pair +-s is kept once,
-    and the zero shift is dropped.  As the box is convex, the modes m +
-    k s inside it form one contiguous chain of k (`_chain_ranges`), so
-    closing a mode under +-s adds its whole chain at once.  Each round
-    expands, for every new mode and every shift, the chain through the
-    mode unless that chain, named by the key of its first point in the
-    box, was already expanded; it stops when a round adds no mode.  The
-    rounds count the changes of direction a path needs, not its length,
-    and the work and memory are O(modes x shifts): no array spans the
-    (2 radius + 1)^d box.  Modes are handled as `_mode_keys`.  Both
-    ways return int64 rows in lexicographic order.
+    `start` must lie inside the box.  When no shift moves an axis a
+    without a unit step +-e_a among the shifts, the set is the box's
+    range on the other, free axes times the distinct projections of
+    `start` off them (a line, or the whole box), built with no search.
+    Every other set is closed chain by chain.  Reachability is symmetric
+    once the shifts are closed under negation, so each pair +-s is kept
+    once, and the zero shift is dropped.  As the box is convex, the
+    modes m + k s inside it form one contiguous chain of k
+    (`_chain_ranges`), so closing a mode under +-s adds its whole chain
+    at once.  Each round expands, for every new mode and every shift,
+    the chain through the mode unless that chain, named by the key of
+    its first point in the box, was already expanded; it stops when a
+    round adds no mode.  The rounds count the changes of direction a
+    path needs, not its length, and the work and memory are O(modes x
+    shifts): no array spans the (2 radius + 1)^d box.  Modes are handled
+    as `_mode_keys`.  Both ways return int64 rows in lexicographic
+    order.
     """
     d = start.shape[1]
     box = (2 * radius + 1,) * d
     shifts = np.asarray(shifts, dtype=np.int64).reshape(-1, d)
-    units = shifts[np.abs(shifts).sum(axis=1) == 1]  # the rows +-e_a
-    if start.shape[0] and units.any(axis=0).all():
-        # unit steps along every axis connect the whole box
-        return np.stack(np.unravel_index(np.arange(math.prod(box)), box), axis=1) - radius
+    free = shifts[np.abs(shifts).sum(axis=1) == 1].any(axis=0)  # the axes of the rows +-e_a
+    if start.shape[0] and not shifts[:, ~free].any():
+        # keys are linear: each start's off-axis key plus the free axes' keys,
+        # in order for one start; several are sorted (numpy's first sort
+        # maps about 0.4 MB of its code, which a lone line does not need)
+        off = _mode_keys(np.where(free, -radius, start), radius)
+        one = (off == off[0]).all()
+        keys = off[:1] if one else _distinct(off)
+        for step in _box_keys(np.eye(d, dtype=np.int64)[free], (0,) * d, box):
+            keys = (keys[:, None] + np.arange(2 * radius + 1) * step).ravel()
+        return np.stack(np.unravel_index(keys if one else np.sort(keys), box), axis=1) - radius
     shifts = shifts[shifts.any(axis=1)]
     # the representative of +-s whose first nonzero entry is positive
     lead = shifts[np.arange(shifts.shape[0]), (shifts != 0).argmax(axis=1)]
@@ -352,9 +361,10 @@ class _GatherOperator:
     bi + ai br): numpy's complex multiply may fuse one of its two
     products into the other, which is exact when the weight has a zero
     real or imaginary part, so a term with weights of both parts nonzero
-    is applied as the sum of its real and imaginary parts.  The matvec
-    works in buffers of the operator, so an operator serves one caller
-    at a time.
+    is applied as the sum of its real and imaginary parts.  `bind` makes
+    A's views of one pair of flat buffers once, and `matvec` is one
+    bound call.  Both work in buffers of the operator, so an operator
+    serves one caller at a time.
     """
 
     def __init__(self, source, weight, layout=None):
@@ -372,7 +382,7 @@ class _GatherOperator:
                 o = int(offsets[0]) if offsets.min() == offsets.max() else None
                 layout.append((k, o, not np.all((w.real == 0.0) | (w.imag == 0.0))))
         self._layout = layout
-        self._terms = None  # built by the first matvec
+        self._terms = None  # built by the first `bind`
 
     def _flat_terms(self):
         """(span, read, re, im, gathered, imag_part) of each term of the layout, over the flat block."""
@@ -391,25 +401,38 @@ class _GatherOperator:
             terms.append((span, read, re, im, self._gathered[span], self._imag_part[span]))
         return terms
 
-    def matvec(self, x, out=None):
-        """A x for a flat block x, written into `out` when given; with `out`, no array is allocated."""
+    def bind(self, x, out):
+        """A function of no arguments that writes A x into `out`, reading x as it is then and allocating nothing.
+
+        Outputs go by position: parsing `out=` costs a sixth of a call this small.
+        """
         if self._terms is None:
             self._terms = self._flat_terms()
+        steps = [
+            (x[read] if isinstance(read, slice) else None, read, re, im, g, h, out[span])
+            for span, read, re, im, g, h in self._terms
+        ]
+
+        def apply():
+            out.fill(0.0)
+            for xs, read, re, im, g, h, acc in steps:
+                if xs is None:
+                    xs = np.take(x, read, out=g, mode="clip")
+                if im is not None:
+                    np.multiply(xs, im, h)
+                np.multiply(xs, re, g)
+                if im is not None:
+                    np.add(g, h, g)
+                np.add(acc, g, acc)
+
+        return apply
+
+    def matvec(self, x, out=None):
+        """A x for a flat block x, written into `out` when given; with `out`, no array is allocated."""
         if out is None:
-            out = np.empty_like(self._gathered)
-        out.fill(0.0)
-        for span, read, re, im, g, h in self._terms:
-            if isinstance(read, slice):
-                xs = x[read]
-            else:
-                xs = np.take(x, read, out=g, mode="clip")
-            if im is not None:
-                np.multiply(xs, im, out=h)
-            np.multiply(xs, re, out=g)
-            if im is not None:
-                np.add(g, h, out=g)
-            acc = out[span]
-            np.add(acc, g, out=acc)
+            _, m, n = self.weight.shape
+            out = np.empty(m * n, dtype=self.weight.dtype)
+        self.bind(x, out)()
         return out
 
     def column_l1(self):
@@ -552,6 +575,12 @@ def _column_l1(H, hbar, J, modes):
     return np.abs(H.coeffs) @ w
 
 
+def _check_hbar(hbar):
+    """Raise `ConfigError` for a nonzero hbar so small that the generator's scale 2 pi/|hbar| overflows a float."""
+    if hbar != 0.0 and not math.isfinite(2.0 * math.pi / abs(hbar)):
+        raise ConfigError(f"hbar = {hbar!r} is too small: 2 pi/|hbar| overflows a float")
+
+
 def check_evolution_time(f, H, hbar, t, J):
     """Raise `ConfigError` when `evolve(f, H, hbar, t, J)` would need a series past `MAX_SERIES_Z`.
 
@@ -560,11 +589,10 @@ def check_evolution_time(f, H, hbar, t, J):
     set that `evolve` builds, so it needs no mode set.  A scan checks
     its largest t with it before computing any record.  A nonzero hbar
     so small that the generator's scale 2 pi/|hbar| overflows raises
-    `ConfigError` too, whatever f and t.
+    `ConfigError` too, whatever f and t (`_check_hbar`).
     """
     hbar = _as_hbar(hbar)
-    if hbar != 0.0 and not math.isfinite(2.0 * math.pi / abs(hbar)):
-        raise ConfigError(f"hbar = {hbar!r} is too small: 2 pi/|hbar| overflows a float")
+    _check_hbar(hbar)
     if f.n_modes:
         _check_series_length(abs(t) * _column_l1(H, hbar, J, f.modes).max())
 
@@ -606,6 +634,10 @@ def _chebyshev_propagate(L, v, t):
     norm of the omitted terms by weight * ||v||_2.  A row with z = 0 is
     v, with 0 terms.
 
+    A's steps on the three rotating buffers are bound once per block
+    size.  The 2 stays out of A's weights: there it changes the bits of
+    a product that underflows, as an H coefficient 3 + 2.2e-308i shows.
+
     One recurrence advances the other rows, each with its own
     coefficients.  They are ordered by K_i, most first, and the block
     shrinks to the rows still running as each row reaches its K_i.  A
@@ -636,35 +668,42 @@ def _chebyshev_propagate(L, v, t):
     order = np.argsort(-terms, kind="stable")[: len(coeffs)]  # the running rows, most terms first
     K = terms[order]
     first = np.array([coeffs[i][:1] for i in order.tolist()])
-    twice = np.zeros((K[0], order.size, 1))  # 2 J_k(z) of each running row, 0 past its last term
+    # 2 J_k(z) of each running row, 0 past its last term; complex, as each product would cast it
+    twice = np.zeros((K[0], order.size, 1), dtype=np.complex128)
     for j, i in enumerate(order.tolist()):
         twice[: K[j], j, 0] = 2.0 * coeffs[i]
     if not np.array_equal(order, np.arange(m)):
         L = L.take(order)
     A = L.scaled(math.copysign(1.0, t) / rho[order])
-    prev = np.tile(v, (order.size, 1))
-    cur = np.empty_like(prev)
-    A.matvec(prev.reshape(-1), out=cur.reshape(-1))
-    acc = first * prev + twice[1] * cur
-    nxt, term = np.empty_like(prev), np.empty_like(prev)
+    psi = [np.empty((order.size, n), dtype=v.dtype) for _ in range(3)]  # psi_k in psi[k % 3]
+    two = np.complex128(2.0)  # cast once
+    psi[0][:] = v
+    A.matvec(psi[0].reshape(-1), out=psi[1].reshape(-1))
+    acc = first * psi[0] + twice[1] * psi[1]
+    term = np.empty_like(acc)
     done, p = 2, order.size
     while True:
         stop = K[p - 1]  # the fewest terms of the rows still running
-        for c in twice[done:stop, :p]:
-            # psi_{k+1} = 2 A psi_k + psi_{k-1} and acc += 2 c psi_{k+1}, in three rotating buffers
-            A.matvec(cur.reshape(-1), out=nxt.reshape(-1))
-            nxt *= 2.0
+        rows = [buffer[:p] for buffer in psi]
+        # term k: psi_k = 2 A psi_{k-1} + psi_{k-2}, in the buffer of psi_{k-3}
+        rotation = [
+            (A.bind(rows[k - 1].reshape(-1), rows[k].reshape(-1)), rows[k - 2], rows[k])
+            for k in range(3)
+        ]
+        for k, c in enumerate(twice[done:stop, :p], done):
+            apply, prev, nxt = rotation[k % 3]
+            apply()
+            nxt *= two
             nxt += prev
-            np.multiply(nxt, c, out=term)
+            np.multiply(nxt, c, term)
             acc += term
-            prev, cur, nxt = cur, nxt, prev
         done, q = stop, int(np.searchsorted(-K, -stop))
         out[order[q:p]] = acc[q:p]
         if q == 0:
             return out, terms, tails
         p = q
         A = A.take(slice(0, p))
-        prev, cur, nxt, term, acc = prev[:p], cur[:p], nxt[:p], term[:p], acc[:p]
+        term, acc = term[:p], acc[:p]
 
 
 def _evolve_column(f, H, hbars, t, J, trunc_radius=32):
@@ -693,7 +732,7 @@ def _evolve_column(f, H, hbars, t, J, trunc_radius=32):
     for row, steps, tail in zip(V, terms.tolist(), tails.tolist()):
         discarded = float(np.abs(row[outside]).sum()) + math.sqrt(row.size) * tail * f.l2()
         row[outside] = 0.0
-        element = FourierElement._raw(f.dim, *_coalesce(f.dim, modes, row))
+        element = FourierElement._raw(f.dim, *_prune(modes, row))
         results.append(EvolutionResult(element=element, discarded_mass=discarded, steps=steps))
     return results
 

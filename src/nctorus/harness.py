@@ -27,6 +27,7 @@ from .cstar import NormEstimate, op_norm_estimate
 from .deform import (
     PlanckParam,
     SymplecticStructure,
+    _check_hbar,
     _column_l1,
     _evolve_column,
     check_evolution_time,
@@ -63,10 +64,10 @@ class ExperimentConfig:
     ([[p...], re, im] triples) in config files; hbar values must be
     nonzero and inside [-1, 1], with no |hbar| twice: a record is even
     in hbar (L_-hbar = L_hbar, and ||.||_-hbar = ||.||_hbar), so hbar and
-    -hbar would be one point of the fit.  `alias_tol`, `norm_tol` and
-    `max_discarded_mass` must be finite and >= 0, `min_fit_order`
-    finite; a NaN would switch its gate off.  `output_dir` must be a
-    string.
+    -hbar would be one point of the fit, and none may overflow 2 pi/|hbar|.
+    `alias_tol`, `norm_tol` and `max_discarded_mass` must be finite and
+    >= 0, `min_fit_order` finite; a NaN would switch its gate off.
+    `output_dir` must be a string.
     """
 
     hamiltonian: FourierElement
@@ -95,6 +96,7 @@ class ExperimentConfig:
         for h in self.hbar_grid:
             if h == 0.0 or not -1.0 <= h <= 1.0:
                 raise ConfigError(f"hbar {h} must be nonzero and within [-1, 1]")
+            _check_hbar(h)
         if len({abs(h) for h in self.hbar_grid}) < len(self.hbar_grid):
             raise ConfigError("hbar_grid must not repeat an |hbar|")
         if any(t < 0.0 for t in self.t_grid):

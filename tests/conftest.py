@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import strategies as st
 
 from nctorus import FourierElement, SymplecticStructure
-from nctorus.deform import EvolutionResult, _mode_keys, deformed_mul
+from nctorus.deform import CHEBYSHEV_TAIL, EvolutionResult, _mode_keys, bessel_j, deformed_mul
 from nctorus.errors import TruncationOverflowError
 from nctorus.lattice import PRUNE_TOL
 
@@ -154,6 +156,37 @@ def reference_evolution_generator(H, hbar, J, modes):
     data = (H.coeffs[:, None] * scale * shape)[keep]
     cols = np.broadcast_to(np.arange(n), keep.shape)[keep]
     return sp.csr_array((data, (rows[keep], cols)), shape=(n, n), dtype=np.complex128)
+
+
+def reference_chebyshev_propagate(H, hbar, J, modes, v, t):
+    """Reference for one row of `deform._chebyshev_propagate`: the recurrence with its doubling pass, on CSR.
+
+    A = sign(t) L / rho, with L `reference_evolution_generator` at hbar
+    and rho its largest column l1 norm, and each term is computed as
+    psi_{k+1} = A psi_k, doubled, plus psi_{k-1}, summed into the
+    result with the coefficient 2 J_k(|t| rho).  The number of terms K
+    is the first whose tail weight is below `CHEBYSHEV_TAIL`, at least
+    2.  Returns the row, K and the tail weight; z = 0 returns v with 0
+    terms.
+    """
+    L = reference_evolution_generator(H, hbar, J, modes)
+    rho = abs(L).sum(axis=0).max(initial=0.0)
+    z = abs(t) * rho
+    if z == 0.0:
+        return v.copy(), 0, 0.0
+    c = bessel_j(z)
+    tail = 2.0 * np.cumsum(np.abs(c)[::-1])[::-1]
+    K = max(int(np.argmax(tail <= CHEBYSHEV_TAIL)), 2)
+    A = L * (math.copysign(1.0, t) / rho)
+    prev, cur = v, A @ v
+    acc = c[0] * prev + (2.0 * c[1]) * cur
+    for k in range(2, K):
+        nxt = A @ cur
+        nxt *= 2.0
+        nxt += prev
+        acc += (2.0 * c[k]) * nxt
+        prev, cur = cur, nxt
+    return acc, K, float(tail[K])
 
 
 def assert_same_bits(got, want):

@@ -428,6 +428,19 @@ def reach_cases(draw):
     return tuple(np.array(x, dtype=np.int64).reshape(-1, d) for x in (start, shifts)) + (radius,)
 
 
+@st.composite
+def product_cases(draw):
+    """(start, shifts, radius) whose shifts hold +-e_a on each free axis a and move no other axis."""
+    d = draw(st.integers(1, 4))
+    radius = draw(st.integers(0, 3))
+    free = draw(st.lists(st.booleans(), min_size=d, max_size=d))
+    on_free = [st.integers(-3, 3) if a else st.just(0) for a in free]
+    shifts = [draw(st.sampled_from([1, -1])) * np.eye(d, dtype=np.int64)[a] for a in range(d) if free[a]]
+    shifts += [np.array(draw(st.tuples(*on_free))) for _ in range(draw(st.integers(0, 2)))]
+    start = draw(st.lists(st.lists(st.integers(-radius, radius), min_size=d, max_size=d), min_size=1, max_size=5))
+    return np.array(start, dtype=np.int64), np.array(shifts, dtype=np.int64).reshape(-1, d), radius
+
+
 class TestReachableModes:
     """`_reachable_modes` (whole-chain closure) against the breadth-first reference."""
 
@@ -457,6 +470,48 @@ class TestReachableModes:
         want = reference_reachable_modes(start, shifts, radius)
         assert got.dtype == np.int64 and got.flags.c_contiguous
         assert got.shape == ((2 * radius + 1) ** d, d) and np.array_equal(got, want)
+
+    @given(case=product_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_line_and_box_sets_take_no_chain(self, case):
+        start, shifts, radius = case
+        with mock.patch.object(deform, "_chain_ranges", side_effect=AssertionError("chain search")):
+            got = _reachable_modes(start, shifts, radius)
+        want = reference_reachable_modes(start, shifts, radius)
+        assert got.dtype == np.int64 and got.flags.c_contiguous
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "shifts, radius",
+        [
+            ([[1], [-3]], 5),
+            ([[-1, 0], [3, 0]], 6),  # the shear's line
+            ([[0, 0, 1], [1, 0, 0], [2, 0, -1]], 3),
+            ([[0, 1, 0, 0], [0, 0, 0, -1], [0, 2, 0, 1]], 2),
+        ],
+        ids=["d=1", "d=2", "d=3", "d=4"],
+    )
+    def test_starts_off_the_free_axes(self, shifts, radius):
+        # starts with several distinct projections off the free axes, one of
+        # them twice: one line or plane per projection, merged in order
+        shifts = np.array(shifts, dtype=np.int64)
+        d = shifts.shape[1]
+        start = np.random.default_rng(d).integers(-radius, radius + 1, size=(5, d))
+        start = np.concatenate([start, start[:1]])
+        off = ~shifts[np.abs(shifts).sum(axis=1) == 1].any(axis=0)
+        assert d == 1 or np.unique(start[:, off], axis=0).shape[0] >= 3
+        with mock.patch.object(deform, "_chain_ranges", side_effect=AssertionError("chain search")):
+            got = _reachable_modes(start, shifts, radius)
+        assert np.array_equal(got, reference_reachable_modes(start, shifts, radius))
+
+    def test_mixed_set_takes_the_chains(self):
+        # +-e_1 makes axis 1 free, but +-(1, 2) also moves axis 2
+        start = np.array([[0, 1], [2, -3]])
+        shifts = np.array([[1, 0], [-1, 0], [1, 2], [-1, -2]])
+        with mock.patch.object(deform, "_chain_ranges", wraps=deform._chain_ranges) as chains:
+            got = _reachable_modes(start, shifts, 5)
+        assert chains.called
+        assert np.array_equal(got, reference_reachable_modes(start, shifts, 5))
 
     def test_box_without_a_unit_step_takes_the_chains(self):
         # (1, 0) and (1, 1) reach the whole box too, but no shift is +-e_2

@@ -100,6 +100,12 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             small_config(hbar_grid=(1.5,))
 
+    @pytest.mark.parametrize("hbar", [1e-310, -5e-324])
+    def test_rejects_hbar_whose_scale_overflows(self, hbar):
+        # the clause of check_evolution_time, run on every hbar of the grid
+        with pytest.raises(ConfigError, match=f"hbar = {hbar!r} is too small"):
+            small_config(hbar_grid=(0.1, hbar))
+
     def test_rejects_empty_grid(self):
         with pytest.raises(ConfigError):
             small_config(t_grid=())
@@ -696,6 +702,22 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert "hbar = 1e-310 is too small" in err and "series of length" not in err
+
+    def test_subnormal_hbar_scan_exits_2_and_makes_no_directory(self, tmp_path, capsys, monkeypatch):
+        # the config refuses the hbar, so no output directory is left behind
+        monkeypatch.delenv("NCTORUS_OUTPUT_DIR", raising=False)
+        monkeypatch.setattr(harness, "_solve_column", no_record)
+        out = tmp_path / "out"
+        cfg = {"H": SHEAR, "f": OBS, "J": J_STD, "hbar_grid": [0.1, 1e-310, 0.05], "t_grid": [0.05],
+               "trunc_radius": 8, "norm_window": 10, "output_dir": str(out)}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["scan", str(path)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "hbar = 1e-310 is too small" in err and "Traceback" not in err
 
     def test_uncreatable_output_dir_exits_2(self, tmp_path, capsys, monkeypatch):
         # the output directory is made before the first record, so a path

@@ -34,12 +34,14 @@ from nctorus.deform import (
     _reachable_modes,
     _table_fits,
 )
+from nctorus.lattice import _coalesce
 from nctorus.quantum import EvolutionResult
 
 from conftest import (
     STRUCTURES,
     assert_same_bits,
     elements_nd,
+    reference_chebyshev_propagate,
     reference_evolution_generator,
     reference_exp_deformed,
 )
@@ -637,6 +639,67 @@ class TestEvolveColumn:
         monkeypatch.setattr(deform, "_evolution_plan", unreachable)
         with pytest.raises(ConfigError, match="series of length"):
             _evolve_column(e((0, 1)), shear_hamiltonian, (0.1, 0.0), 1e6, J)
+
+
+@st.composite
+def nonzero_elements(draw, d, radius, max_terms):
+    """Elements on T^d with 1 to `max_terms` modes: the first coefficient's real part is at least 0.25."""
+    n = draw(st.integers(1, max_terms))
+    modes = draw(st.lists(st.tuples(*[st.integers(-radius, radius)] * d), min_size=n, max_size=n, unique=True))
+    parts = st.one_of(st.floats(-3, 3), st.sampled_from([0.0, -0.0]))
+    coeffs = [complex(draw(st.floats(0.25, 3)), draw(parts))]
+    coeffs += [complex(draw(parts), draw(parts)) for _ in range(n - 1)]
+    return FourierElement(d, zip(modes, coeffs))
+
+
+class TestChebyshevRecurrence:
+    """`_chebyshev_propagate` against the recurrence with its doubling pass, on the CSR generator.
+
+    `_evolve_column`'s elements are checked too, against the reference
+    rows zeroed outside the truncation radius and coalesced.
+    """
+
+    @staticmethod
+    def check_rows(f, H, J, hbars, t, radius):
+        modes, L, v, outside = _evolution_plan(f, H, J, radius, hbars)
+        V, terms, tails = _chebyshev_propagate(L, v, t)
+        column = _evolve_column(f, H, hbars, t, J, radius)
+        for i, hbar in enumerate(hbars):
+            row, K, tail = reference_chebyshev_propagate(H, hbar, J, modes, v, t)
+            assert V[i].tobytes() == row.tobytes()
+            assert (int(terms[i]), tails[i].hex()) == (K, tail.hex())
+            row[outside] = 0.0
+            assert_same_bits(column[i].element, FourierElement._raw(f.dim, *_coalesce(f.dim, modes, row)))
+        return L, terms
+
+    @given(
+        d=st.sampled_from([2, 3]),
+        hbars=st.lists(st.sampled_from([0.0, 0.1, -0.37, 0.0125, 1.0]), min_size=1, max_size=4),
+        t=st.sampled_from([0.04, -0.04, 0.15, -0.3]),
+        radius=st.integers(1, 3),
+        data=st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_rows_match_the_reference_bit_for_bit(self, d, hbars, t, radius, data):
+        # integral, non-integral and degenerate J; H of radius 2 takes chain
+        # mode sets whose rows the operator gathers
+        J = SymplecticStructure(data.draw(st.sampled_from(STRUCTURES[d])))
+        H = data.draw(nonzero_elements(d, radius=data.draw(st.integers(1, 2)), max_terms=3))
+        f = data.draw(nonzero_elements(d, radius=2, max_terms=3))
+        self.check_rows(f, H + H.star(), J, hbars, t, radius)
+
+    @pytest.mark.parametrize("t", [0.1, -0.1])
+    def test_every_case_in_one_block(self, t):
+        # rows of different lengths, one at hbar = 0; complex coefficients
+        # split their terms, a non-integral J gives non-integral pairings,
+        # and shifts +-(2, 1), +-(1, -1) reach the index-3 sublattice, whose
+        # rows the operator gathers
+        J = SymplecticStructure(0.37 * SymplecticStructure.standard().J)
+        H = FourierElement(2, {(2, 1): 0.7 + 0.2j, (-2, -1): 0.7 - 0.2j, (1, -1): 0.5, (-1, 1): 0.5})
+        f = e((0, 1)) + 0.5j * e((1, -1))
+        L, terms = self.check_rows(f, H, J, (0.1, 0.0, 0.0125), t, 6)
+        assert len(set(terms.tolist())) == 3
+        assert any(split for _, _, split in L._layout) and any(o is None for _, o, _ in L._layout)
 
 
 class TestAutomorphismProperties:
