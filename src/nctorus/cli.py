@@ -15,18 +15,12 @@ import sys
 
 import numpy as np
 
-from .deform import (
-    PlanckParam,
-    SymplecticStructure,
-    deformed_mul,
-    poisson_bracket,
-)
+from .deform import SymplecticStructure, deformed_mul, evolve, poisson_bracket
 from .cstar import op_norm_estimate
 from .errors import ConfigError, NCTorusError
-from .flow import flow_points, hamiltonian_vector_field, pullback, step_count
+from .flow import flow_points, hamiltonian_vector_field, step_count
 from .harness import ExperimentConfig, commutator_limit_scan, scan
 from .lattice import FourierElement
-from .quantum import QuantumHamiltonian, heisenberg_evolve
 
 
 def _element(text):
@@ -78,6 +72,18 @@ def _points(text, dim):
     return points
 
 
+def _check_dims(args):
+    """Raise `ConfigError` unless the elements and J among `args` lie on one torus.
+
+    The empty literal [] is on T^2, as `FourierElement.from_literal` reads it.
+    """
+    dims = {k: getattr(args, k).dim for k in ("f", "g", "hamiltonian", "J") if hasattr(args, k)}
+    if len(set(dims.values())) > 1:
+        raise ConfigError(
+            "dimension mismatch: " + ", ".join(f"--{k} on T^{d}" for k, d in dims.items())
+        )
+
+
 def _hbar_grid(text):
     return [_nonzero(x) for x in text.split(",")]
 
@@ -121,14 +127,15 @@ def build_parser():
     p.add_argument("--J", type=_matrix, default=SymplecticStructure.standard())
     p.add_argument("--trunc-radius", type=_positive_int, default=32)
 
-    p = sub.add_parser("evolve-classical", help="spectral pullback along the flow")
+    p = sub.add_parser(
+        "evolve-classical", help="classical transport f o beta_t = exp(t L_0) f"
+    )
     p.add_argument("--f", type=_element, required=True)
     p.add_argument("--hamiltonian", type=_element, required=True)
     p.add_argument("--t", type=_finite, required=True)
     p.add_argument("--J", type=_matrix, default=SymplecticStructure.standard())
-    p.add_argument("--step", type=_positive, default=1e-3)
     p.add_argument("--trunc-radius", type=_positive_int, default=32)
-    p.add_argument("--grid", type=_positive_int, default=None)
+    p.set_defaults(hbar=0.0)
 
     p = sub.add_parser("norm", help="sandwich-certified deformed norm estimate")
     p.add_argument("--f", type=_element, required=True)
@@ -162,6 +169,7 @@ def main(argv=None):
 
 
 def _dispatch(args):
+    _check_dims(args)
     if args.command == "product":
         _print_element(deformed_mul(args.f, args.g, args.hbar, args.J))
     elif args.command == "bracket":
@@ -172,23 +180,12 @@ def _dispatch(args):
         steps = step_count(args.t, args.step)
         result = flow_points(phi, points, args.t, steps, jacobians=args.jacobians)
         sys.stdout.write(result.to_csv(points))
-    elif args.command == "evolve-quantum":
-        qh = QuantumHamiltonian(args.hamiltonian, PlanckParam(args.hbar))
-        res = heisenberg_evolve(args.f, qh, args.t, args.J, trunc_radius=args.trunc_radius)
+    elif args.command in ("evolve-quantum", "evolve-classical"):
+        # evolve-classical is the same engine at hbar = 0
+        res = evolve(args.f, args.hamiltonian, args.hbar, args.t, args.J, args.trunc_radius)
         _print_element(res.element)
         print(
             json.dumps({"discarded_mass": res.discarded_mass, "steps": res.steps}),
-            file=sys.stderr,
-        )
-    elif args.command == "evolve-classical":
-        phi = hamiltonian_vector_field(args.hamiltonian, args.J)
-        grid = args.grid if args.grid else 2 * args.trunc_radius + 4
-        res = pullback(
-            args.f, phi, args.t, grid, args.trunc_radius, ode_step=args.step
-        )
-        _print_element(res.element)
-        print(
-            json.dumps({"discarded_mass": res.discarded_mass, "grid": res.grid}),
             file=sys.stderr,
         )
     elif args.command == "norm":

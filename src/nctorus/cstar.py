@@ -40,7 +40,9 @@ from .lattice import _distinct
 class NormEstimate:
     """Sandwich bounds for the deformed C*-norm of an element.
 
-    lower_l2 <= op_lower <= upper_l1; `op_lower` is the largest singular
+    lower_l2 <= op_lower <= upper_l1, with lower_l2 = ||f||_2 (f acting
+    on the basis vector of mode 0) and upper_l1 = ||f||_1 (subadditivity
+    over the unitary characters); `op_lower` is the largest singular
     value of the truncated left-regular twisted representation and is
     the headline (certified lower) estimate, never an exact norm.
     `iterations` and `residual` are the Lanczos step count and the final
@@ -67,16 +69,6 @@ class NormEstimate:
                 "residual": self.residual,
             }
         )
-
-
-def l1_upper(f):
-    """Upper bound: sum |c_p| (subadditivity over unitary characters)."""
-    return f.l1()
-
-
-def l2_lower(f):
-    """Lower bound: (sum |c_p|^2)^(1/2) (representation on the 0 basis vector)."""
-    return f.l2()
 
 
 def default_window(f):
@@ -353,7 +345,7 @@ def op_norm_estimate(f, hbar, J, window=None, tol=1e-8, max_iter=None):
     _as_hbar(hbar)  # a non-finite hbar raises on the line path too
     axis = _line_axis(f)
     if axis is not None:
-        return NormEstimate(l2_lower(f), l1_upper(f), _line_sup(f, axis), window, 0, 0.0)
+        return NormEstimate(f.l2(), f.l1(), _line_sup(f, axis), window, 0, 0.0)
     if window < f.support_radius() + 1:
         raise ValueError(
             f"window {window} too small for support radius {f.support_radius()}"
@@ -416,8 +408,8 @@ def op_norm_estimate(f, hbar, J, window=None, tol=1e-8, max_iter=None):
         q_prev, q = q, q_prev
     op_lower = float(np.sqrt(max(mu, 0.0)))
     return NormEstimate(
-        lower_l2=l2_lower(f),
-        upper_l1=l1_upper(f),
+        lower_l2=f.l2(),
+        upper_l1=f.l1(),
         op_lower=op_lower,
         window=window,
         iterations=len(alpha),

@@ -45,8 +45,9 @@ from .lattice import (
 class SymplecticStructure:
     """Real skew-symmetric d x d matrix defining bracket and deformation.
 
-    Inputs are antisymmetrized at construction; matrices violating
-    skewness beyond 1e-12 are rejected.  Degenerate J is permitted.
+    Inputs are antisymmetrized at construction; matrices with an entry
+    that is not finite, or violating skewness beyond 1e-12, are rejected
+    with `ValueError`.  Degenerate J is permitted.
     Whether every entry is an integer, which makes every pairing
     p . (J q) of modes one, is recorded once for `deformed_mul`.
     """
@@ -58,14 +59,16 @@ class SymplecticStructure:
         J = np.asarray(J, dtype=np.float64)
         if J.ndim != 2 or J.shape[0] != J.shape[1]:
             raise ValueError("J must be a square matrix")
+        # a NaN defect compares false, so the skewness test alone passes NaN
+        if not np.isfinite(J).all():
+            raise ValueError("J has an entry that is not finite")
         defect = np.abs(J + J.T).max()
         if defect > 1e-12:
             raise ValueError(f"J is not skew-symmetric (defect {defect:.3g})")
         J = 0.5 * (J - J.T)
         J.setflags(write=False)
         object.__setattr__(self, "J", J)
-        integral = np.isfinite(J).all() and (J == np.round(J)).all()
-        object.__setattr__(self, "_integral", bool(integral))
+        object.__setattr__(self, "_integral", bool((J == np.round(J)).all()))
 
     @classmethod
     def standard(cls, dim=2):

@@ -21,14 +21,6 @@ class UnderResolvedGridError(NCTorusError):
     """Sampling grid too coarse for the element's spectrum."""
 
 
-class SpectralResolutionError(NCTorusError):
-    """Discarded spectral mass exceeded the alias tolerance."""
-
-    def __init__(self, message, discarded_mass):
-        super().__init__(message)
-        self.discarded_mass = discarded_mass
-
-
 class SeriesDivergenceError(NCTorusError):
     """Deformed exponential series failed to converge at this truncation."""
 

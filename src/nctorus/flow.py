@@ -1,16 +1,14 @@
 """Classical Hamiltonian flows on the torus.
 
 Vector fields are tuples of real-valued trigonometric polynomials.  The
-classical transport f -> f o beta_t solves dF/dt = {H, F}, so
-`classical_evolve` applies exp(t L_0) to the coefficients of f, L_0 the
-hbar = 0 limit of the quantum generator, by the Chebyshev-Bessel series
-of `deform.evolve`, which is exact to roundoff.  Independently of it,
-the flow is realized by fixed-step RK4 on T^d (coordinates wrapped
-mod 1), optionally co-integrating the variational equation for
-Jacobians, and the pullback is computed spectrally by flowing a uniform
-grid and inverting the DFT; both report their discarded coefficient
-mass.  Gronwall-type
-certificates bound the flow derivatives a priori.
+classical transport f -> f o beta_t solves dF/dt = {H, F}; the package
+computes it as `deform.evolve` at hbar = 0, exp(t L_0) on the
+coefficients of f.  This module realizes the flow independently, as an
+oracle for that engine: fixed-step RK4 on T^d (coordinates wrapped mod
+1), optionally co-integrating the variational equation for Jacobians,
+and the pullback computed spectrally by flowing a uniform grid and
+inverting the DFT, which reports its discarded coefficient mass.
+Gronwall-type certificates bound the flow derivatives a priori.
 """
 
 from __future__ import annotations
@@ -22,8 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .deform import evolve
-from .errors import RealityError, SpectralResolutionError, UnderResolvedGridError
+from .errors import RealityError, UnderResolvedGridError
 from .lattice import (
     FourierElement,
     _coalesce,
@@ -216,36 +213,24 @@ class PullbackResult:
     steps: int
 
 
-def pullback(
-    f,
-    Phi,
-    t,
-    grid,
-    trunc_radius,
-    steps=None,
-    ode_step=1e-3,
-    alias_tol=None,
-):
+def pullback(f, Phi, t, grid, trunc_radius, steps):
     """Approximate the pullback beta_t f = f o beta_t spectrally.
 
     Evaluates `f` on the flowed image of a uniform grid, inverts the
     DFT, truncates to `trunc_radius` and reports the discarded l1
-    coefficient mass.  If `alias_tol` is given and the discarded mass
-    exceeds it, raises `SpectralResolutionError`.
+    coefficient mass, which the caller judges.
 
     Parameters
     ----------
     grid : int
         Per-axis resolution G; must satisfy G >= 2 * trunc_radius + 2.
-    steps : int, optional
-        RK4 step count; defaults to `step_count(t, ode_step)`.
+    steps : int
+        RK4 step count of `flow_points`.
     """
     if grid < 2 * trunc_radius + 2:
         raise UnderResolvedGridError(
             f"grid {grid} below anti-aliasing margin for radius {trunc_radius}"
         )
-    if steps is None:
-        steps = step_count(t, ode_step)
     d = f.dim
     flowed = flow_points(Phi, _uniform_grid(d, grid), t, steps).points
     vals = f.eval_at(flowed).reshape((grid,) * d)
@@ -257,23 +242,7 @@ def pullback(
     inside = np.abs(modes).max(axis=1) <= trunc_radius
     discarded = float(np.abs(flat[~inside]).sum())
     element = FourierElement._raw(d, *_coalesce(d, modes[inside], flat[inside]))
-    if alias_tol is not None and discarded > alias_tol:
-        raise SpectralResolutionError(
-            f"discarded spectral mass {discarded:.3g} exceeds alias tolerance",
-            discarded,
-        )
     return PullbackResult(element=element, discarded_mass=discarded, grid=grid, steps=steps)
-
-
-def classical_evolve(f, H, t, J, trunc_radius=32):
-    """The classical transport beta_t f = f o beta_t as exp(t L_0) f.
-
-    This is `deform.evolve` at hbar = 0: L_0 F = {H, F} is the hbar = 0
-    limit of the Heisenberg generator, on the same mode set, applied by
-    the same Chebyshev-Bessel series; `discarded_mass` bounds the box
-    truncation and the series tail, and `steps` is the number of terms.
-    """
-    return evolve(f, H, 0.0, t, J, trunc_radius=trunc_radius)
 
 
 def _bell_partial(n, m, x):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -307,10 +308,17 @@ class FourierElement:
 
     @classmethod
     def from_literal(cls, literal, dim=2):
-        """Build from the textual literal form: a list of [[p...], re, im]."""
+        """Build from the textual literal form: a list of [[p...], re, im].
+
+        Every mode is a list of integers, all of one length, which is the
+        dimension; an entry that is not an integer (1.5, true) raises
+        `ValueError` rather than being rounded, as does a ragged mode list.
+        """
         terms = []
         for entry in literal:
             p, re, im = entry
+            if not all(isinstance(x, numbers.Integral) and not isinstance(x, bool) for x in p):
+                raise ValueError(f"mode entries must be integers: {p!r}")
             terms.append((tuple(int(x) for x in p), complex(re, im)))
         if terms:
             dim = len(terms[0][0])
@@ -444,16 +452,6 @@ class FourierElement:
         return FourierElement._raw(self.dim, self.modes[keep], self.coeffs[keep]), dropped
 
 
-def add(f, g):
-    """Coefficientwise sum of two elements on the same torus."""
-    return f + g
-
-
-def involution(f):
-    """Complex conjugation: (f*)(m) = conj(f(m))."""
-    return f.star()
-
-
 def pointwise_mul(f, g, cap=DEFAULT_MODE_CAP):
     """Undeformed product f . g as convolution of coefficient maps.
 
@@ -558,10 +556,3 @@ def seminorm(f, k, grid):
     p_norm = np.linalg.norm(f.modes, axis=1) if f.n_modes else np.zeros(0)
     l1_majorant = float((np.abs(f.coeffs) * (TWO_PI * p_norm) ** k).sum())
     return SeminormReport(order=k, grid_sup=grid_sup, l1_majorant=l1_majorant)
-
-
-def parseval_mean_square(f, grid):
-    """Mean of |f|^2 over a uniform grid (Parseval check helper)."""
-    points = _uniform_grid(f.dim, grid)
-    vals = f.eval_at(points)
-    return float(np.mean(np.abs(vals) ** 2))

@@ -10,9 +10,10 @@ solve the Heisenberg equation
 whose generator stays O(1) as hbar -> 0 (it approximates the Poisson
 bracket with H), so small-hbar runs do not stiffen.  Its solution
 exp(t L_hbar) F is `deform.evolve`, exact to roundoff with no time step;
-`heisenberg_evolve` is that call for a `QuantumHamiltonian`.  The
-series-based conjugation here is an independent cross-check at moderate
-hbar.
+`heisenberg_evolve` is that call for a `QuantumHamiltonian`, and the
+CLI and the harness call the engine itself.  The series-based
+conjugation here (`exp_deformed`, `unitary_propagator`,
+`conjugation_evolve`) is an independent oracle for it at moderate hbar.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cstar import default_window, op_norm_estimate
 # `commutator` is not called here; it stays importable from this module
 # because the benchmark tracer (perfbench/tracing.py) wraps it by name
 from .deform import (  # noqa: F401
@@ -209,18 +209,3 @@ def heisenberg_evolve(f, qh, t, J, steps=None, trunc_radius=32):
     after, so this call runs no reality test.
     """
     return _evolve_column(f, qh.base, (qh.hbar.hbar,), t, J, trunc_radius)[0]
-
-
-def isometry_defect(f, qh, t, J, trunc_radius=32, window=None, tol=1e-8):
-    """|estimate(beta^h_t f) - estimate(f)| with shared window and tolerance.
-
-    The quantum flow is a *-automorphism, hence isometric, and
-    `heisenberg_evolve` applies it exactly to roundoff; the defect
-    measures estimator error and truncation, not time stepping.
-    """
-    evolved = heisenberg_evolve(f, qh, t, J, trunc_radius=trunc_radius)
-    if window is None:
-        window = max(default_window(f), default_window(evolved.element))
-    a = op_norm_estimate(evolved.element, qh.hbar, J, window=window, tol=tol)
-    b = op_norm_estimate(f, qh.hbar, J, window=window, tol=tol)
-    return abs(a.op_lower - b.op_lower)

@@ -13,7 +13,14 @@ import nctorus.cstar as cstar
 import nctorus.deform as deform
 import nctorus.flow as flow
 import nctorus.harness as harness
-from nctorus import FourierElement, SymplecticStructure, op_norm_estimate
+from nctorus import (
+    FourierElement,
+    QuantumHamiltonian,
+    SymplecticStructure,
+    evolve,
+    heisenberg_evolve,
+    op_norm_estimate,
+)
 from nctorus.cli import main
 from nctorus.errors import ConfigError, RealityError
 from nctorus.flow import hamiltonian_vector_field
@@ -164,12 +171,16 @@ class TestConfigValidation:
             {"hbar_grid": [0.1, 0.05, 0.1]},
             {"hbar_grid": [0.1, 0.05, -0.1]},
             {"output_dir": 5},
+            {"J": [[0, float("nan")], [float("nan"), 0]]},
+            {"f": [[[1.5, 0], 1, 0]]},
+            {"H": [[[True, 0], 1, 0], [[-1, 0], 1, 0]]},
         ],
         ids=[
             "str-grid", "J-3x3", "nan-t", "nan-step", "short-band", "float-radius", "empty-H",
             "negative-t", "nan-f", "inf-H", "nan-norm-tol", "nan-alias-tol", "nan-discarded",
             "nan-fit-order", "str-norm-tol", "str-fit-order", "bool-discarded", "negative-alias-tol",
-            "repeated-hbar", "opposite-hbar", "non-str-output-dir",
+            "repeated-hbar", "opposite-hbar", "non-str-output-dir", "nan-J", "fractional-mode",
+            "boolean-mode",
         ],
     )
     def test_rejects_bad_input(self, tmp_path, overrides):
@@ -529,12 +540,38 @@ class TestCli:
         assert final_y == pytest.approx(expected, abs=1e-9)
 
     def test_evolve_pair_agree(self, capsys):
+        # the two commands are one engine at hbar and at 0: their difference
+        # is the engine's Q - C
         common = ["--hamiltonian", json.dumps(SHEAR), "--t", "0.05", "--trunc-radius", "10"]
         assert main(["evolve-quantum", "--f", json.dumps(OBS), "--hbar", "0.05"] + common) == 0
         q = FourierElement.from_literal(json.loads(capsys.readouterr().out.splitlines()[0]))
         assert main(["evolve-classical", "--f", json.dumps(OBS)] + common) == 0
         c = FourierElement.from_literal(json.loads(capsys.readouterr().out.splitlines()[0]))
-        assert (q - c).l1() < 0.3  # same transport, O(hbar) apart
+        H, f, J = FourierElement.from_literal(SHEAR), e((0, 1)), SymplecticStructure.standard()
+        engine = evolve(f, H, 0.05, 0.05, J, 10).element - evolve(f, H, 0.0, 0.05, J, 10).element
+        assert q - c == engine
+
+    @pytest.mark.parametrize("hbar", [None, 0.1, -0.37], ids=["classical", "quantum", "negative"])
+    def test_evolve_prints_the_engine(self, hbar, capsys):
+        # each command prints evolve(f, H, hbar, t, J, r) to the bit, hbar = 0
+        # for evolve-classical; for evolve-quantum that is also what
+        # heisenberg_evolve, which it called before, returns
+        H = FourierElement.from_literal(SHEAR) + 0.3 * (e((1, 1)) + e((-1, -1)))
+        f = e((0, 1)) + 0.5j * e((1, -1))
+        J = SymplecticStructure.standard()
+        argv = ["--f", json.dumps(f.to_literal()), "--hamiltonian", json.dumps(H.to_literal()),
+                "--t", "0.3", "--trunc-radius", "12"]
+        if hbar is None:
+            assert main(["evolve-classical"] + argv) == 0
+        else:
+            assert main(["evolve-quantum", "--hbar", str(hbar)] + argv) == 0
+        out, err = capsys.readouterr()
+        res = evolve(f, H, hbar or 0.0, 0.3, J, 12)
+        if hbar is not None:
+            old = heisenberg_evolve(f, QuantumHamiltonian(H, hbar), 0.3, J, trunc_radius=12)
+            assert (old.element, old.discarded_mass, old.steps) == (res.element, res.discarded_mass, res.steps)
+        assert out == json.dumps(res.element.to_literal()) + "\n"
+        assert err == json.dumps({"discarded_mass": res.discarded_mass, "steps": res.steps}) + "\n"
 
     def test_commutator_scan(self, capsys):
         code = main(
@@ -609,15 +646,13 @@ class TestCli:
             ["norm", "--f", json.dumps(OBS), "--hbar", "0.1", "--tol", "nan"],
             ["evolve-quantum", "--f", json.dumps(OBS), "--hamiltonian", json.dumps(SHEAR),
              "--hbar", "0.1", "--t", "inf"],
-            ["evolve-classical", "--f", json.dumps(OBS), "--hamiltonian", json.dumps(SHEAR),
-             "--t", "0.1", "--step", "inf"],
             ["flow", "--hamiltonian", json.dumps(SHEAR), "--points", "[[0.25, 0.0]]",
              "--t=-inf"],
             ["commutator-scan", "--hamiltonian", json.dumps(SHEAR), "--g", json.dumps(OBS),
              "--hbar-grid", "0.1,nan"],
         ],
-        ids=["product-hbar", "norm-hbar", "norm-tol", "evolve-quantum-t",
-             "evolve-classical-step", "flow-t", "commutator-scan-hbar-grid"],
+        ids=["product-hbar", "norm-hbar", "norm-tol", "evolve-quantum-t", "flow-t",
+             "commutator-scan-hbar-grid"],
     )
     def test_non_finite_float_exits_2(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -632,13 +667,11 @@ class TestCli:
              "--hbar", "0.1", "--t", "0.1", "--trunc-radius", "-3"],
             ["evolve-classical", "--f", json.dumps(OBS), "--hamiltonian", json.dumps(SHEAR),
              "--t", "0.1", "--trunc-radius", "0"],
-            ["evolve-classical", "--f", json.dumps(OBS), "--hamiltonian", json.dumps(SHEAR),
-             "--t", "0.1", "--grid", "0"],
             ["norm", "--f", json.dumps(OBS), "--hbar", "0.1", "--window", "0"],
             ["norm", "--f", json.dumps(OBS), "--hbar", "0.1", "--window", "2.5"],
         ],
-        ids=["evolve-quantum-radius", "evolve-classical-radius", "evolve-classical-grid",
-             "norm-window-zero", "norm-window-float"],
+        ids=["evolve-quantum-radius", "evolve-classical-radius", "norm-window-zero",
+             "norm-window-float"],
     )
     def test_integer_option_below_one_exits_2(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -661,8 +694,6 @@ class TestCli:
              "--t", "0.1", "--step", "0"],
             ["flow", "--hamiltonian", json.dumps(SHEAR), "--points", "[[0.25, 0.0]]",
              "--t", "0.1", "--step=-0.5"],
-            ["evolve-classical", "--f", json.dumps(OBS), "--hamiltonian", json.dumps(SHEAR),
-             "--t", "0.1", "--step", "0"],
             ["norm", "--f", json.dumps(OBS), "--hbar", "0.1", "--tol=-1"],
             ["evolve-quantum", "--f", json.dumps(OBS), "--hamiltonian", json.dumps(SHEAR),
              "--hbar", "0", "--t", "0.1"],
@@ -671,8 +702,7 @@ class TestCli:
             ["commutator-scan", "--hamiltonian", json.dumps(SHEAR), "--g", json.dumps(OBS),
              "--hbar-grid", "0.1,0,0.05"],
         ],
-        ids=["flow-step-zero", "flow-step-negative", "evolve-classical-step-zero",
-             "norm-tol-negative", "evolve-quantum-hbar-zero", "commutator-scan-short-grid",
+        ids=["flow-step-zero", "flow-step-negative", "norm-tol-negative", "evolve-quantum-hbar-zero", "commutator-scan-short-grid",
              "commutator-scan-hbar-zero"],
     )
     def test_bad_number_exits_2(self, argv, capsys):
@@ -690,6 +720,50 @@ class TestCli:
         assert time.perf_counter() - start < 1.0
         assert code == 2
         assert "series of length" in capsys.readouterr().err
+
+    def test_runaway_evolve_classical_exits_2(self, capsys, monkeypatch):
+        # refused before a mode set is built; the grid pullback it replaced
+        # would have tried 1e10 RK4 steps
+        monkeypatch.setattr(deform, "_evolution_plan", no_record)
+        start = time.perf_counter()
+        code = main(["evolve-classical", "--f", json.dumps(OBS), "--hamiltonian", json.dumps(SHEAR),
+                     "--t", "1e7"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert "series of length" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["product", "--f", json.dumps(OBS), "--g", "[[[1,0],1,0]]", "--hbar", "0.25",
+              "--J", "[[0,NaN],[NaN,0]]"], "J has an entry that is not finite"),
+            (["product", "--f", "[[[1.5,0],1,0]]", "--g", json.dumps(OBS), "--hbar", "0.25"],
+             "mode entries must be integers"),
+            (["bracket", "--f", "[[[true,0],1,0]]", "--g", json.dumps(OBS)],
+             "mode entries must be integers"),
+        ],
+        ids=["nan-J", "fractional-mode", "boolean-mode"],
+    )
+    def test_unparsable_argument_exits_2(self, argv, message, capsys):
+        # a NaN J passed the skewness test, and a mode entry was cut by int()
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["product", "--f", json.dumps(OBS), "--g", "[[[0,1,0],1,0]]", "--hbar", "0.25"],
+            ["evolve-classical", "--f", json.dumps(OBS), "--hamiltonian", json.dumps(SHEAR),
+             "--t", "0.1", "--J", "[[0,1,0,0],[-1,0,0,0],[0,0,0,1],[0,0,-1,0]]"],
+        ],
+        ids=["element-on-T3", "J-on-T4"],
+    )
+    def test_dimension_mismatch_exits_2(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "invalid config: dimension mismatch" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("t", ["0", "0.1"])
     def test_subnormal_hbar_exits_2(self, t, capsys):

@@ -36,7 +36,7 @@ def test_scan_and_evolutions_leave_scipy_sparse_unloaded(tmp_path):
 import sys
 from nctorus import (
     ExperimentConfig, FourierElement, QuantumHamiltonian, SymplecticStructure,
-    build_left_multiplication, classical_evolve, conjugation_evolve, heisenberg_evolve, scan,
+    build_left_multiplication, conjugation_evolve, evolve, heisenberg_evolve, scan,
 )
 e = FourierElement.character
 H, f, J = e((1, 0)) + e((-1, 0)), e((0, 1)), SymplecticStructure.standard()
@@ -47,7 +47,7 @@ config = ExperimentConfig(
 assert len(scan(config).records) == 1
 qh = QuantumHamiltonian(H, 0.1)
 heisenberg_evolve(f, qh, 0.25, J, trunc_radius=16)
-classical_evolve(f, H, 0.25, J, trunc_radius=16)
+evolve(f, H, 0.0, 0.25, J, trunc_radius=16)
 conjugation_evolve(f, qh, 0.05, J, trunc_radius=16)
 print("scipy.sparse" in sys.modules, "numpy.ma" in sys.modules)
 L = build_left_multiplication(f, 0.1, J, 4)
