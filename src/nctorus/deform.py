@@ -7,18 +7,18 @@ cocycle-twisted convolution:
 
 so products of trigonometric polynomials are computed exactly as sparse
 double loops over supports, never by discretizing the integral.  The
-Poisson bracket and the scaled-commutator residual that drives the
-classical-limit analysis live here as well, and so does the one
-generator of both evolutions: F -> (pi/(i hbar)) [H, F]_h as a numpy
-gather operator on a finite mode set, whose hbar = 0 limit is the
-Liouville operator F -> {H, F}.  `evolve` applies its exponential with a
-Chebyshev-Bessel series, for the quantum flow and the classical
-transport alike.  Only the generator's weights depend on hbar, so
-`_generator` builds the operators of several hbar as the rows of one
-block in one call, their sines by the rule of the product's phases
-(`_on_pairings`), and `_evolve_column` evolves one f for those hbar at
-one t: one mode set, one gather layout and one recurrence, each row the
-result `evolve` gives for its hbar alone, to the bit.
+commutator, the Poisson bracket and the classical limit's residuals
+are each one such loop (`_twisted_convolution`) with its own pair
+weight.  The generator of both evolutions, L_hbar F = (pi/(i hbar))
+[H, F]_h, is a numpy gather operator on a finite mode set whose hbar =
+0 limit is F -> {H, F}; its weight is written once (`_generator_weight`).
+`evolve` applies its exponential with a Chebyshev-Bessel series, for
+the quantum flow and the classical transport alike.  Only the
+generator's weights depend on hbar, so `_generator` builds the
+operators of several hbar as the rows of one block, their weights by
+the forms' rule (`_on_pairings`), and `_evolve_column` evolves one f
+for those hbar at one t: one mode set, one gather layout and one
+recurrence, each row to the bit what `evolve` gives for its hbar alone.
 """
 
 from __future__ import annotations
@@ -36,8 +36,6 @@ from .lattice import (
     _convolve,
     _distinct,
     _prune,
-    partial_derivative,
-    pointwise_mul,
 )
 
 
@@ -49,7 +47,7 @@ class SymplecticStructure:
     that is not finite, or violating skewness beyond 1e-12, are rejected
     with `ValueError`.  Degenerate J is permitted.
     Whether every entry is an integer, which makes every pairing
-    p . (J q) of modes one, is recorded once for `deformed_mul`.
+    p . (J q) of modes an integer, is recorded once for `_on_pairings`.
     """
 
     J: np.ndarray = field()
@@ -125,8 +123,8 @@ def _table_fits(lo, hi, size):
 def _on_pairings(fn, J, n_pairs):
     """`fn` of the pairings k = p . (J q) of one product's blocks, as a function of a block's pairings.
 
-    `deformed_mul` takes its phases and `_generator` its sines by it;
-    the generator's pairings are one block.
+    `_twisted_convolution` takes its weights and `_generator` its shapes
+    by it; the generator's pairings are one block.
 
     For an integral J the product keeps one table of `fn` on the
     integers of a range [lo, hi]; the first block builds it on its own
@@ -157,57 +155,59 @@ def _on_pairings(fn, J, n_pairs):
     return on_block
 
 
-def deformed_mul(f, g, hbar, J, cap=DEFAULT_MODE_CAP):
-    """The deformed product f x_h g as a twisted convolution.
-
-    Bilinear and exact on trigonometric polynomials; at hbar = 0 it
-    coincides with the pointwise product.  `_convolve` asks for the pair
-    coefficients one block of f's modes at a time; each block forms its
-    pairings k, its phases exp(-2 pi i hbar k) by `_on_pairings` (one
-    table for the whole product, or one exp per pair; both give the same
-    bits) and its coefficients by the broadcast expression of the whole
-    (n_f, n_g) product on a row slice.  numpy's complex multiply may round
-    differently by loop shape (FMA), and that expression gives each pair
-    the bits it has in the whole product.
-    """
+def _check_dims(f, g, J):
+    """Raise `DimensionMismatchError` unless f, g and J lie on one torus."""
     f._check_dim(g)
     if f.dim != J.dim:
         raise DimensionMismatchError("element/structure dimension mismatch")
-    h = _as_hbar(hbar)
-    if f.n_modes == 0 or g.n_modes == 0:
-        return FourierElement.zero(f.dim)
+
+
+def _generator_weight(hbar):
+    """L_hbar's pair weight scale * shape(k) = -(2 pi/hbar) sin(2 pi hbar k), or -4 pi^2 k at hbar = 0; only here."""
+    if hbar == 0.0:
+        return -4.0 * np.pi**2, lambda k: k
+    return -2.0 * np.pi / hbar, lambda k: np.sin(2.0 * np.pi * hbar * k)
+
+
+def _twisted_convolution(f, g, J, weight, cap, what):
+    """The sum over the modes p of f and q of g of c_p d_q weight(p.Jq) e_{p+q}.
+
+    Each of `_convolve`'s row blocks takes its weights by `_on_pairings`
+    and its coefficients by the whole form's broadcast expression on a
+    row slice, which keeps each pair's bits (numpy's complex multiply may
+    round by loop shape, FMA).
+    """
+    _check_dims(f, g, J)
     f_J, g_T = f.modes @ J.J, g.modes.T
-    phases = _on_pairings(lambda k: np.exp(-2j * np.pi * h * k), J, f.n_modes * g.n_modes)
+    weights = _on_pairings(weight, J, f.n_modes * g.n_modes)
 
     def block_coeffs(rows):
         pairing = f_J[rows] @ g_T  # p . (J q) for the modes p of f in `rows`
-        return f.coeffs[rows, None] * g.coeffs[None, :] * phases(pairing)
+        return f.coeffs[rows, None] * g.coeffs[None, :] * weights(pairing)
 
-    return _convolve(f, g, block_coeffs, cap, "deformed product")
+    return _convolve(f, g, block_coeffs, cap, what)
+
+
+def deformed_mul(f, g, hbar, J, cap=DEFAULT_MODE_CAP):
+    """The deformed product f x_h g, weight e(-hbar k); at hbar = 0 the pointwise product."""
+    h = _as_hbar(hbar)
+    return _twisted_convolution(f, g, J, lambda k: np.exp(-2j * np.pi * h * k), cap, "deformed product")
 
 
 def commutator(f, g, hbar, J, cap=DEFAULT_MODE_CAP):
-    """[f, g]_h = f x_h g - g x_h f."""
-    return deformed_mul(f, g, hbar, J, cap) - deformed_mul(g, f, hbar, J, cap)
+    """[f, g]_h = f x_h g - g x_h f, weight e(-hbar k) - e(hbar k) = -2i sin(2 pi hbar k)."""
+    h = _as_hbar(hbar)
+    return _twisted_convolution(f, g, J, lambda k: -2j * np.sin(2.0 * np.pi * h * k), cap, "commutator")
 
 
 def poisson_bracket(f, g, J, cap=DEFAULT_MODE_CAP):
-    """{f, g} = sum_jk J_jk (d_j f)(d_k g); on modes -4 pi^2 (p.Jq) e_{p+q}."""
-    f._check_dim(g)
-    out = FourierElement.zero(f.dim)
-    dfs = [partial_derivative(f, j) for j in range(f.dim)]
-    dgs = [partial_derivative(g, k) for k in range(g.dim)]
-    for j in range(f.dim):
-        for k in range(f.dim):
-            Jjk = J.J[j, k]
-            if Jjk == 0.0:
-                continue
-            out = out + Jjk * pointwise_mul(dfs[j], dgs[k], cap=cap)
-    return out
+    """{f, g} = sum_jk J_jk (d_j f)(d_k g), weight -4 pi^2 k: L_0's."""
+    scale, shape = _generator_weight(0.0)
+    return _twisted_convolution(f, g, J, lambda k: scale * shape(k), cap, "Poisson bracket")
 
 
 def scaled_commutator_residual(H, g, hbar, J, cap=DEFAULT_MODE_CAP):
-    """(pi / (i hbar)) [H, g]_h - {H, g}.
+    """(pi / (i hbar)) [H, g]_h - {H, g}, weight L_hbar's minus L_0's.
 
     The antisymmetrized residual whose smallness drives the classical
     limit; on fixed single-mode pairs its size decays like hbar^2.
@@ -216,12 +216,13 @@ def scaled_commutator_residual(H, g, hbar, J, cap=DEFAULT_MODE_CAP):
     h = _as_hbar(hbar)
     if h == 0.0:
         raise ZeroDivisionError("scaled commutator residual needs hbar != 0")
-    scaled = (np.pi / (1j * h)) * commutator(H, g, h, J, cap)
-    return scaled - poisson_bracket(H, g, J, cap)
+    (scale, shape), (scale_0, shape_0) = _generator_weight(h), _generator_weight(0.0)
+    weight = lambda k: scale * shape(k) - scale_0 * shape_0(k)  # noqa: E731
+    return _twisted_convolution(H, g, J, weight, cap, "scaled commutator residual")
 
 
 def one_sided_residual(F, g, hbar, J, cap=DEFAULT_MODE_CAP):
-    """(2 pi / (i hbar)) (F x_h g - F g) - {F, g}.
+    """(2 pi / (i hbar)) (F x_h g - F g) - {F, g}, weight (2 pi/(i hbar))(e(-hbar k) - 1) minus L_0's.
 
     The one-sided variant of the residual; decays like hbar^1 on fixed
     elements, one order slower than the antisymmetrized version.
@@ -229,8 +230,10 @@ def one_sided_residual(F, g, hbar, J, cap=DEFAULT_MODE_CAP):
     h = _as_hbar(hbar)
     if h == 0.0:
         raise ZeroDivisionError("one-sided residual needs hbar != 0")
-    diff = deformed_mul(F, g, h, J, cap) - pointwise_mul(F, g, cap=cap)
-    return (2.0 * np.pi / (1j * h)) * diff - poisson_bracket(F, g, J, cap)
+    scale_0, shape_0 = _generator_weight(0.0)
+    c = 2.0 * np.pi / (1j * h)
+    weight = lambda k: c * (np.exp(-2j * np.pi * h * k) - 1.0) - scale_0 * shape_0(k)  # noqa: E731
+    return _twisted_convolution(F, g, J, weight, cap, "one-sided residual")
 
 
 @dataclass(frozen=True)
@@ -478,18 +481,17 @@ def _generator(H, J, modes, hbars):
     """F -> (pi/(i hbar)) [H, F]_h on coefficient vectors over `modes`, row i of the block at hbars[i].
 
     `modes` must be nonempty and sorted lexicographically.  The column
-    of mode r holds c_p w(p, r) in the row of r + p for each mode p of H,
-    with w(p, r) = -(2 pi/hbar) sin(2 pi hbar p.Jr), or its hbar = 0
-    limit w_0(p, r) = -4 pi^2 p.Jr, which makes the operator the
-    Liouville operator F -> {H, F}; targets outside `modes` and entries
-    with w = 0 are left out.  For real H the operator is anti-Hermitian.
+    of mode r holds c_p * scale * shape(p.Jr) in the row of r + p for
+    each mode p of H, with L_hbar's weight (`_generator_weight`), whose
+    hbar = 0 limit makes the operator the Liouville operator F -> {H, F};
+    targets outside `modes` and entries with weight 0 are left out.  For
+    real H the operator is anti-Hermitian.
 
-    Only w depends on hbar: for each target mode m and each mode p of H
-    the source r = m - p, whether r lies outside `modes`, and the
-    pairing p.Jr are found once for every row.  The sines of each hbar
-    come from `_on_pairings`, the rule of the product's phases: a table
-    over the integer pairings of an integral J, else one `np.sin` per
-    pair, with the same bits either way.  Term k of the
+    Only the weight depends on hbar: for each target mode m and each
+    mode p of H the source r = m - p, whether r lies outside `modes`,
+    and the pairing p.Jr are found once for every row.  The shapes come
+    from `_on_pairings`, the forms' rule, with the same bits whether it
+    takes a table or one call per pair.  Term k of the
     `_GatherOperator` is mode p_k of H, taken in reverse: row m then
     sums its sources m - p_k in ascending (lexicographic) order, and a
     column sums its targets r + p_k in ascending order too, which is the
@@ -512,11 +514,8 @@ def _generator(H, J, modes, hbars):
     shape = np.empty((pairing.shape[0], len(hbars), n))
     scale = np.empty(len(hbars))
     for i, hbar in enumerate(hbars):
-        if hbar == 0.0:
-            shape[:, i], scale[i] = pairing, -4.0 * np.pi**2
-        else:
-            sines = _on_pairings(lambda k: np.sin(2.0 * np.pi * hbar * k), J, pairing.size)
-            shape[:, i], scale[i] = sines(pairing), -2.0 * np.pi / hbar
+        scale[i], shape_i = _generator_weight(hbar)
+        shape[:, i] = _on_pairings(shape_i, J, pairing.size)(pairing)
     weight = H.coeffs[::-1, None, None] * scale[:, None] * shape
     np.copyto(weight, 0.0, where=missing[:, None, :])
     return _GatherOperator(source, weight)
@@ -570,12 +569,8 @@ def _column_l1(H, hbar, J, modes):
     `_evolution_plan` the columns of supp f keep all their targets, so
     their largest norm is a lower bound on ||L||_1 that needs no mode set.
     """
-    pairing = (H.modes @ J.J) @ modes.T
-    if hbar == 0.0:
-        w = 4.0 * np.pi**2 * np.abs(pairing)
-    else:
-        w = (2.0 * np.pi / abs(hbar)) * np.abs(np.sin(2.0 * np.pi * hbar * pairing))
-    return np.abs(H.coeffs) @ w
+    scale, shape = _generator_weight(hbar)
+    return np.abs(H.coeffs) @ (abs(scale) * np.abs(shape((H.modes @ J.J) @ modes.T)))
 
 
 def _check_hbar(hbar):
@@ -592,8 +587,10 @@ def check_evolution_time(f, H, hbar, t, J):
     set that `evolve` builds, so it needs no mode set.  A scan checks
     its largest t with it before computing any record.  A nonzero hbar
     so small that the generator's scale 2 pi/|hbar| overflows raises
-    `ConfigError` too, whatever f and t (`_check_hbar`).
+    `ConfigError` too, whatever f and t (`_check_hbar`); f, H and J on
+    different tori raise `DimensionMismatchError`.
     """
+    _check_dims(f, H, J)
     hbar = _as_hbar(hbar)
     _check_hbar(hbar)
     if f.n_modes:
@@ -719,16 +716,17 @@ def _evolve_column(f, H, hbars, t, J, trunc_radius=32):
     `EvolutionResult` per hbar, each what `evolve` returns for it alone,
     to the bit; hbar = 0 gives the classical transport.  A t whose
     series would pass `MAX_SERIES_Z` at any hbar raises `ConfigError`
-    before the mode set is built.  H must be real, and its callers check
+    before the mode set is built; every check of `check_evolution_time`
+    runs first, for f = 0 too.  H must be real, and its callers check
     it: `evolve` on each call, `harness.egorov_error` on a lone record,
     and `ExperimentConfig` once for every column of a scan.
     """
-    if f.n_modes == 0:
-        return [EvolutionResult(element=f, discarded_mass=0.0, steps=0) for _ in hbars]
     hbars = [_as_hbar(h) for h in hbars]
     # refuse a runaway t before the mode set, which grows with the radius, is built
     for h in hbars:
         check_evolution_time(f, H, h, t, J)
+    if f.n_modes == 0:
+        return [EvolutionResult(element=f, discarded_mass=0.0, steps=0) for _ in hbars]
     modes, L, v, outside = _evolution_plan(f, H, J, trunc_radius, hbars)
     V, terms, tails = _chebyshev_propagate(L, v, t)
     results = []

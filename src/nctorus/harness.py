@@ -27,6 +27,7 @@ from .cstar import NormEstimate, op_norm_estimate
 from .deform import (
     PlanckParam,
     SymplecticStructure,
+    _check_dims,
     _check_hbar,
     _column_l1,
     _evolve_column,
@@ -235,13 +236,14 @@ def egorov_error(f, H, hbar, t, J, config, _column=None):
     beyond the configured thresholds, or a norm residual above
     `norm_tol`, flags the record invalid rather than dropping it.
     `config.ode_step` is not read: neither side takes time steps.
-    Called alone, it raises `RealityError` for an H that fails the
-    reality test and widens the radius by `_flow_speed(H, J)`.  `scan`
-    computes that speed once and relies on its `ExperimentConfig`, which
-    has checked H's reality.
+    Called alone, it raises `DimensionMismatchError` for f, H and J on
+    different tori and `RealityError` for an H that is not real, and
+    widens the radius by `_flow_speed(H, J)`; `scan` computes that speed
+    once and relies on its `ExperimentConfig`, which has checked H.
     """
     start = time.perf_counter()
     if _column is None:
+        _check_dims(f, H, J)
         if not H.is_real():
             raise RealityError("Hamiltonian fails the reality test")
         n_ev = evolution_radius(config.trunc_radius, t, _flow_speed(H, J))

@@ -197,7 +197,7 @@ def _row_blocks(n_f, n_g):
 def _convolve(f, g, block_coeffs, cap, what):
     """The element sum over pairs (i, j) of c[i, j] e_{p_i + q_j}.
 
-    p_i and q_j are the modes of f and g, both nonempty, and
+    p_i and q_j are the modes of f and g (either may be empty), and
     `block_coeffs(rows)` returns the rows c[rows, :] for a slice `rows`
     of f's modes; for the product's bits not to depend on the blocks, it
     must round each entry as it would round the whole c.  `_coalesce`'s
@@ -214,6 +214,8 @@ def _convolve(f, g, block_coeffs, cap, what):
     the message.  The surviving modes are scanned for that only when the
     box of sums reaches beyond `cap`: a box inside it holds every sum.
     """
+    if f.n_modes == 0 or g.n_modes == 0:
+        return FourierElement.zero(f.dim)
     (f_lo, f_hi), (g_lo, g_hi) = _bounds(f.modes), _bounds(g.modes)
     lo = [a + b for a, b in zip(f_lo, g_lo)]
     hi = [a + b for a, b in zip(f_hi, g_hi)]
@@ -459,11 +461,7 @@ def pointwise_mul(f, g, cap=DEFAULT_MODE_CAP):
     `TruncationOverflowError` if the result support exceeds `cap`.
     """
     f._check_dim(g)
-    if f.n_modes == 0 or g.n_modes == 0:
-        return FourierElement.zero(f.dim)
-    return _convolve(
-        f, g, lambda rows: f.coeffs[rows, None] * g.coeffs[None, :], cap, "product"
-    )
+    return _convolve(f, g, lambda rows: f.coeffs[rows, None] * g.coeffs[None, :], cap, "product")
 
 
 def partial_derivative(f, axis):

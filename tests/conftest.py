@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from nctorus import FourierElement, SymplecticStructure
 from nctorus.deform import CHEBYSHEV_TAIL, EvolutionResult, _mode_keys, bessel_j, deformed_mul
 from nctorus.errors import TruncationOverflowError
-from nctorus.lattice import PRUNE_TOL
+from nctorus.lattice import PRUNE_TOL, partial_derivative, pointwise_mul
 
 
 #: Skew structures per dimension: integral, non-integral and degenerate.
@@ -106,6 +106,41 @@ def reference_deformed_mul(f, g, hbar, J, cap=64):
     phases = np.exp(-2j * np.pi * hbar * pairing)
     coeffs = f.coeffs[:, None] * g.coeffs[None, :] * phases
     return _reference_product(f, g, coeffs, cap, "deformed product")
+
+
+# The bilinear forms as compositions of whole elements, the way
+# `deform` computed them before each became one twisted convolution;
+# the convolutions must match them to rounding.
+
+
+def reference_commutator(f, g, hbar, J, cap=64):
+    """[f, g]_h as two deformed products and a difference."""
+    return deformed_mul(f, g, hbar, J, cap) - deformed_mul(g, f, hbar, J, cap)
+
+
+def reference_poisson_bracket(f, g, J, cap=64):
+    """{f, g} as the sum over j, k of J_jk times the pointwise product of d_j f and d_k g."""
+    f._check_dim(g)
+    out = FourierElement.zero(f.dim)
+    dfs = [partial_derivative(f, j) for j in range(f.dim)]
+    dgs = [partial_derivative(g, k) for k in range(g.dim)]
+    for j in range(f.dim):
+        for k in range(f.dim):
+            if J.J[j, k] != 0.0:
+                out = out + J.J[j, k] * pointwise_mul(dfs[j], dgs[k], cap=cap)
+    return out
+
+
+def reference_scaled_commutator_residual(H, g, hbar, J, cap=64):
+    """(pi / (i hbar)) [H, g]_h - {H, g} from the two reference forms."""
+    scaled = (np.pi / (1j * hbar)) * reference_commutator(H, g, hbar, J, cap)
+    return scaled - reference_poisson_bracket(H, g, J, cap)
+
+
+def reference_one_sided_residual(F, g, hbar, J, cap=64):
+    """(2 pi / (i hbar)) (F x_h g - F g) - {F, g} from two products and the reference bracket."""
+    diff = deformed_mul(F, g, hbar, J, cap) - pointwise_mul(F, g, cap=cap)
+    return (2.0 * np.pi / (1j * hbar)) * diff - reference_poisson_bracket(F, g, J, cap)
 
 
 def reference_reachable_modes(start, shifts, radius):

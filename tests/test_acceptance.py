@@ -6,6 +6,7 @@ shared with the determinism check (criterion 9) and with the checks of
 its norm numbers.
 """
 
+import dataclasses
 import math
 import time
 
@@ -310,6 +311,50 @@ def test_norm_records_certified(acceptance_scan):
         exact = shear_exact_error(r.hbar, r.t)
         assert exact * (1 - 1e-5) <= r.err.op_lower <= exact * (1 + 1e-9), (r.hbar, r.t)
         assert r.window_dropped == 0.0 and r.valid, (r.hbar, r.t)
+
+
+def act(A, f):
+    """The image of f under e_p -> e_{A^T p}."""
+    return FourierElement(f.dim, zip(map(tuple, (f.modes @ A).tolist()), f.coeffs))
+
+
+def translated(f, s):
+    """f(x + s): c_p -> e(p.s) c_p, the gauge action; a real f stays real."""
+    phases = np.exp(2j * np.pi * (f.modes @ np.asarray(s)))
+    return FourierElement(f.dim, zip(map(tuple, f.modes.tolist()), f.coeffs * phases))
+
+
+#: Maps of the acceptance config's (H, f) whose exact records are the
+#: shear's: a translation, a constant added to H, and two elements of
+#: GL(2, Z), for which A J A^T = det(A) J.  The swap has det -1 and maps
+#: hbar to -hbar; records are even in hbar.  The shear [[1, 1], [0, 1]]
+#: is left out: its differences lie on lines along (1, 1), which the
+#: norm's line path does not take yet.
+SYMMETRIES = {
+    "translation": lambda H, f: (translated(H, (0.1234, 0.377)), translated(f, (0.1234, 0.377))),
+    "constant": lambda H, f: (H + 0.7 * unit(), f),
+    "swap": lambda H, f: (act(np.array([[0, 1], [1, 0]]), H), act(np.array([[0, 1], [1, 0]]), f)),
+    "quarter turn": lambda H, f: (act(np.array([[0, 1], [-1, 0]]), H), act(np.array([[0, 1], [-1, 0]]), f)),
+}
+
+
+@pytest.mark.parametrize("name", list(SYMMETRIES))
+def test_symmetric_scans_certified(acceptance_config, acceptance_scan, name):
+    # each image's records are the same exact numbers, so each must lie
+    # where the acceptance records lie; a translation moves the sampling
+    # grid and with it op_lower, inside the sampling gap, while a constant
+    # in H changes no generator entry and so no bit
+    H, f = SYMMETRIES[name](acceptance_config.hamiltonian, acceptance_config.observable)
+    config = dataclasses.replace(acceptance_config, hamiltonian=H, observable=f)
+    records = scan(config, write=False).records
+    assert len(records) == 12
+    for r in records:
+        exact = shear_exact_error(r.hbar, r.t)
+        assert r.valid, (r.hbar, r.t, r.note)
+        assert exact * (1 - 1e-5) <= r.err.op_lower <= exact * (1 + 1e-9), (r.hbar, r.t)
+    if name == "constant":
+        base, _ = acceptance_scan
+        assert [r.err.op_lower.hex() for r in records] == [r.err.op_lower.hex() for r in base.records]
 
 
 # (iterations, op_lower) of each record's Lanczos estimate with the line

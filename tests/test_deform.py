@@ -22,18 +22,23 @@ from nctorus import (
 import nctorus.lattice as lattice
 import nctorus.deform as deform
 from nctorus.deform import _on_pairings, _reachable_modes, _table_fits
-from nctorus.errors import TruncationOverflowError
+from nctorus.errors import DimensionMismatchError, TruncationOverflowError
 from nctorus.lattice import _row_blocks
 from nctorus.harness import fit_order
 
 from conftest import (
+    STRUCTURES,
     assert_same_bits,
     element_pairs,
     elements,
     random_element,
+    reference_commutator,
     reference_deformed_mul,
+    reference_one_sided_residual,
     reference_pointwise_mul,
+    reference_poisson_bracket,
     reference_reachable_modes,
+    reference_scaled_commutator_residual,
 )
 
 e = FourierElement.character
@@ -626,6 +631,114 @@ class TestScaledResidual:
         ]
         fit = fit_order(pairs)
         assert fit.slope == pytest.approx(1.0, abs=0.1)
+
+
+def pair_mass(f, g, J):
+    """sum over the modes p of f and q of g of |c_p| |d_q| (2 + 8 pi^2 |p.Jq|).
+
+    It bounds the l1 mass of the pair terms of every bilinear form here,
+    whose weights are at most 2 + 8 pi^2 |k| in modulus, and hence the
+    size of their rounding: a residual can cancel far below it.
+    """
+    if f.n_modes == 0 or g.n_modes == 0:
+        return 0.0
+    k = np.abs((f.modes @ J.J) @ g.modes.T)
+    return float((np.abs(f.coeffs)[:, None] * np.abs(g.coeffs)[None, :] * (2 + 8 * np.pi**2 * k)).sum())
+
+
+#: Each form of `deform` as a function of (f, g, hbar, J), with its old
+#: composition of whole elements from conftest.
+FORMS = {
+    "deformed_mul": (deformed_mul, reference_deformed_mul),
+    "commutator": (commutator, reference_commutator),
+    "poisson_bracket": (
+        lambda f, g, hbar, J, cap=64: poisson_bracket(f, g, J, cap),
+        lambda f, g, hbar, J, cap=64: reference_poisson_bracket(f, g, J, cap),
+    ),
+    "scaled_commutator_residual": (scaled_commutator_residual, reference_scaled_commutator_residual),
+    "one_sided_residual": (one_sided_residual, reference_one_sided_residual),
+}
+
+
+class TestFormsAgainstCompositions:
+    """Each bilinear form is one twisted convolution; the old compositions are the oracles."""
+
+    @pytest.mark.parametrize("name", [n for n in FORMS if n != "deformed_mul"])
+    @given(
+        pair=element_pairs(radius=3, max_terms=8),
+        hbar=st.sampled_from([0.3, 0.1, -0.1, 0.0125]),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_composition(self, name, pair, hbar, data):
+        f, g = pair
+        J = SymplecticStructure(data.draw(st.sampled_from(STRUCTURES[f.dim])))
+        form, reference = FORMS[name]
+        got, want = form(f, g, hbar, J), reference(f, g, hbar, J)
+        assert (got - want).l1() <= 1e-12 * pair_mass(f, g, J)
+
+    @pytest.mark.parametrize("name", list(FORMS))
+    def test_structure_on_another_torus_raises(self, name):
+        # J's top-left block used to serve a bracket of 2-D elements
+        form, _ = FORMS[name]
+        with pytest.raises(DimensionMismatchError):
+            form(e((1, 0)), e((0, 1)), 0.1, SymplecticStructure.standard(4))
+
+    @pytest.mark.parametrize("name", list(FORMS))
+    def test_elements_on_another_torus_raise(self, name):
+        # the bracket's derivative loop used to index past a 2 x 2 J
+        form, _ = FORMS[name]
+        f, g = e((1, 0, 0)), e((0, 1, 1))
+        with pytest.raises(DimensionMismatchError):
+            form(f, g, 0.1, SymplecticStructure.standard())
+
+    def test_bracket_of_characters_on_a_four_torus(self):
+        b = poisson_bracket(e((1, 0, 0, 0)), e((0, 1, 0, 0)), SymplecticStructure.standard(4))
+        assert b.coefficient((1, 1, 0, 0)) == pytest.approx(-4 * np.pi**2, rel=1e-15)
+        assert b.n_modes == 1
+
+
+#: Generators of GL(2, Z): a shear, the quarter turn and the swap.
+GL2_GENERATORS = [
+    np.array([[1, 1], [0, 1]]),
+    np.array([[0, 1], [-1, 0]]),
+    np.array([[0, 1], [1, 0]]),
+]
+
+
+def act(A, f):
+    """The image of f under e_p -> e_{A^T p}."""
+    return FourierElement(f.dim, zip(map(tuple, (f.modes @ A).tolist()), f.coeffs))
+
+
+class TestGL2Covariance:
+    """For A in GL(2, Z), A J A^T = det(A) J, so e_p -> e_{A^T p} maps hbar to det(A) hbar.
+
+    The algebra has no line path, so every A must pass, shears included.
+    """
+
+    @given(
+        word=st.lists(st.integers(0, 2), min_size=0, max_size=5),
+        f=elements(2, 4),
+        g=elements(2, 4),
+        hbar=st.floats(-1.0, 1.0),
+    )
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_forms_are_covariant(self, J, word, f, g, hbar):
+        A = np.eye(2, dtype=np.int64)
+        for i in word:
+            A = A @ GL2_GENERATORS[i]
+        det = round(np.linalg.det(A))
+        cap = 2**20
+        Af, Ag = act(A, f), act(A, g)
+        tol = 1e-12 * pair_mass(f, g, J)
+        for form in (deformed_mul, commutator):
+            lhs = form(Af, Ag, hbar, J, cap)
+            rhs = act(A, form(f, g, det * hbar, J, cap))
+            assert (lhs - rhs).l1() <= tol
+        lhs = poisson_bracket(Af, Ag, J, cap)
+        rhs = det * act(A, poisson_bracket(f, g, J, cap))
+        assert (lhs - rhs).l1() <= tol
 
 
 class TestAssociativity:

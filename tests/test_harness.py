@@ -22,7 +22,7 @@ from nctorus import (
     op_norm_estimate,
 )
 from nctorus.cli import main
-from nctorus.errors import ConfigError, RealityError
+from nctorus.errors import ConfigError, DimensionMismatchError, RealityError
 from nctorus.flow import hamiltonian_vector_field
 from nctorus.harness import (
     ExperimentConfig,
@@ -316,6 +316,21 @@ class TestEgorovError:
         cfg = small_config()
         with pytest.raises(RealityError):
             egorov_error(cfg.observable, 1j * e((1, 0)), 0.1, 0.05, J, cfg)
+
+    @pytest.mark.parametrize(
+        "f, J",
+        [(e((0, 1)), SymplecticStructure.standard(4)), (e((0, 1, 0)), SymplecticStructure.standard())],
+        ids=["J on T^4", "f on T^3"],
+    )
+    def test_mismatched_tori_are_refused_before_any_matmul(self, f, J, monkeypatch):
+        cfg = small_config()
+
+        def unreachable(*args):
+            raise AssertionError("a matmul ran on mismatched tori")
+
+        monkeypatch.setattr(harness, "_flow_speed", unreachable)
+        with pytest.raises(DimensionMismatchError):
+            egorov_error(f, cfg.hamiltonian, 0.1, 0.05, J, cfg)
 
 
 class TestCommutatorLimitScan:

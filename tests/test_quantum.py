@@ -24,7 +24,7 @@ from nctorus import (
 )
 import nctorus.deform as deform
 import nctorus.quantum as quantum
-from nctorus.errors import ConfigError, RealityError, TruncationOverflowError
+from nctorus.errors import ConfigError, DimensionMismatchError, RealityError, TruncationOverflowError
 from nctorus.deform import (
     CHEBYSHEV_TAIL,
     MAX_SERIES_Z,
@@ -34,6 +34,7 @@ from nctorus.deform import (
     _generator,
     _reachable_modes,
     _table_fits,
+    check_evolution_time,
 )
 from nctorus.lattice import _coalesce
 from nctorus.quantum import EvolutionResult
@@ -442,8 +443,8 @@ class TestGeneratorEngine:
 
         with mock.patch.object(deform, "_table_fits", spy):
             L = _generator(H, J, modes, hbars)
-        n_sines = sum(h != 0.0 for h in hbars)
-        assume(fits == {"table": [True] * n_sines, "integral-per-pair": [False] * n_sines}.get(case, []))
+        n_rows = len(hbars)  # every row's shape takes the rule, the identity of hbar = 0 too
+        assume(fits == {"table": [True] * n_rows, "integral-per-pair": [False] * n_rows}.get(case, []))
         n = modes.shape[0]
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -649,6 +650,37 @@ class TestEvolveColumn:
         monkeypatch.setattr(deform, "_evolution_plan", unreachable)
         with pytest.raises(ConfigError, match="series of length"):
             _evolve_column(e((0, 1)), shear_hamiltonian, (0.1, 0.0), 1e6, J)
+
+
+class TestTorusDimensions:
+    """f, H and J on different tori raise `DimensionMismatchError` before any matmul."""
+
+    SHEAR = e((1, 0)) + e((-1, 0))
+    CASES = {
+        "J on T^4": (e((0, 1)), SHEAR, SymplecticStructure.standard(4)),
+        "f on T^3": (e((0, 1, 0)), SHEAR, SymplecticStructure.standard()),
+        "zero f on T^3": (FourierElement.zero(3), SHEAR, SymplecticStructure.standard()),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_every_entry_point_raises(self, case, monkeypatch):
+        f, H, J = self.CASES[case]
+        qh = QuantumHamiltonian(H, 0.1)
+
+        def unreachable(*args):
+            raise AssertionError("a matmul ran on mismatched tori")
+
+        monkeypatch.setattr(deform, "_column_l1", unreachable)
+        monkeypatch.setattr(deform, "_evolution_plan", unreachable)
+        calls = {
+            "evolve": lambda: evolve(f, H, 0.1, 0.25, J),
+            "_evolve_column": lambda: _evolve_column(f, H, (0.1, 0.0), 0.25, J),
+            "heisenberg_evolve": lambda: heisenberg_evolve(f, qh, 0.25, J),
+            "check_evolution_time": lambda: check_evolution_time(f, H, 0.1, 0.25, J),
+        }
+        for name, call in calls.items():
+            with pytest.raises(DimensionMismatchError):
+                call()
 
 
 @st.composite
