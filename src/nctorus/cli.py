@@ -207,7 +207,7 @@ def _dispatch(args):
             res = commutator_limit_scan(
                 args.hamiltonian, args.g, args.hbar_grid, args.J, variant=variant
             )
-        except ValueError as exc:  # a grid of fewer than 3 points
+        except ValueError as exc:  # a grid of fewer than 3 points, or one that repeats an |hbar|
             raise ConfigError(str(exc)) from exc
         out = {
             "variant": res.variant,

@@ -21,7 +21,11 @@ nnz(L) entries; `fft_left_multiplication` applies it without forming
 it, as one convolution along a lattice axis per row of supp f, by FFT.
 `op_norm_estimate` takes the FFT kernel when its operation count
 (rows + 1) N log2 N (2W+1)^(d-1) is below nnz(L) (`fft_plan`), and the
-sparse matrix otherwise.
+sparse matrix otherwise.  Its convergence check reads the top Ritz
+pair of the Lanczos tridiagonal without a dense solve: Sturm counts and
+Laguerre steps on Python floats for the value, certified by a final
+count, and one inverse-iteration step for the eigenvector's last entry
+(`_top_ritz`).
 """
 
 from __future__ import annotations
@@ -44,7 +48,10 @@ class NormEstimate:
     on the basis vector of mode 0) and upper_l1 = ||f||_1 (subadditivity
     over the unitary characters); `op_lower` is the largest singular
     value of the truncated left-regular twisted representation and is
-    the headline (certified lower) estimate, never an exact norm.
+    the headline (certified lower) estimate, never an exact norm: off
+    the line path it is sqrt(mu), mu the top Ritz value of the Lanczos
+    tridiagonal at the lower end of a Sturm-count bracket, where a
+    count shows an eigenvalue >= mu (`_top_ritz`).
     `iterations` and `residual` are the Lanczos step count and the final
     Ritz estimate.  For an element on one line (`_line_axis`), whose
     `op_lower` is a grid maximum of its symbol, no step runs:
@@ -292,6 +299,170 @@ def _line_sup(f, axis):
     return float(np.abs(np.fft.ifft(symbol, norm="forward")).max())
 
 
+#: Unit roundoff of a float (2^-52): the width to which `_top_ritz` pins its value.
+_EPS = 2.0**-52
+
+
+def _count_above(a, b2, x, pivmin):
+    """The number of eigenvalues >= x of the tridiagonal T with diagonal `a` and squared off-diagonals `b2`.
+
+    Sturm count: the nonpositive pivots u_i = x - a_i - b2_i / u_(i-1)
+    of the LDL^T factorization of x I - T (Sylvester's law of inertia),
+    `b2[0]` being 0.  A zero pivot becomes -`pivmin`, as in LAPACK's
+    `dstebz`, and counts as an eigenvalue at x.  The count is exact
+    for a matrix within a few roundoffs of T, entry by entry.
+    """
+    n, u = 0, 1.0
+    for ai, bi in zip(a, b2):
+        u = x - ai - bi / u
+        if u <= 0.0:
+            n += 1
+            if u == 0.0:
+                u = -pivmin
+    return n
+
+
+def _laguerre_step(a, b2, x, pivmin):
+    """`_count_above(a, b2, x, pivmin)`, and when it is 0 the step s of Laguerre's method: x - s is the next iterate.
+
+    The same pass differentiates the pivots: p(x) = det(x I - T) is the
+    product of the u_i, so G = p'/p = sum_i u_i'/u_i and
+    H = -(log p)'' = sum_i (u_i'/u_i)^2 - u_i''/u_i, with
+    u_i' = 1 + (b2_i/u_(i-1)^2) u_(i-1)' and
+    u_i'' = (b2_i/u_(i-1)^2) (u_(i-1)'' - 2 u_(i-1)'^2 / u_(i-1)).  Above
+    the spectrum, s = m / (G + sqrt((m-1)(m H - G^2))) lands in
+    [lambda_max, x): Laguerre's method on a polynomial with real roots
+    converges to the largest one from the right, monotonically, and
+    cubically once the other roots are far.
+    """
+    n, u, du, ddu, G, H = 0, 1.0, 0.0, 0.0, 0.0, 0.0
+    for ai, bi in zip(a, b2):
+        q = bi / u
+        v = x - ai - q
+        q /= u
+        du, ddu = 1.0 + q * du, q * (ddu - 2.0 * du * du / u)
+        u = v
+        if u <= 0.0:
+            n += 1
+            if u == 0.0:
+                u = -pivmin
+        g = du / u
+        G += g
+        H += g * g - ddu / u
+    if n:
+        return n, None
+    m = len(a)
+    return 0, m / (G + math.sqrt(max((m - 1) * (m * H - G * G), 0.0)))
+
+
+def _top_ritz(alpha, beta, trial=None):
+    """(mu, |y_m|): the top eigenvalue of the Lanczos tridiagonal and the last entry of its unit eigenvector.
+
+    T has diagonal `alpha` (m floats) and off-diagonal `beta` (m - 1).
+    Everything runs on Python floats, in O(m) passes of the pivot
+    recurrence of `_count_above`:
+
+    - Laguerre's method from an upper point (`trial` when a count
+      shows it above the spectrum, else the Gershgorin bound) down to
+      lambda_max, each step's pass counting too;
+    - then steps away from the last point, the one nearest the root,
+      each 8 times the last, until a count puts the root between, and
+      bisection until the bracket is 4 roundoffs of ||T|| wide.
+
+    The value returned is the lower end, at which a count shows an
+    eigenvalue >= mu, so it stays a lower bound on lambda_max.  |y_m|
+    comes from one step of inverse iteration, one Thomas solve of
+    (sigma I - T) z = 1 at the upper end sigma, every pivot floored at
+    eps ||T|| in modulus (LAPACK's `stein`).  The off-diagonals enter
+    as |beta|, a diagonal signature similarity that keeps every |y_i|:
+    the top eigenvector is then nonnegative (Perron-Frobenius), so
+    its sum is >= 1 and the ones vector has a full component along it.
+    `trial` is a guess, checked by a count before use; the Lanczos loop
+    passes the last check's mu + 2 beta |y_m| (`op_norm_estimate`).
+    T is first scaled by the power of two 2^-e that puts its largest
+    entry in [1/2, 1), as LAPACK's tridiagonal solvers scale: exactly,
+    so the answer scales back exactly, and the squared off-diagonals of
+    the recurrence neither overflow nor underflow where they count.  A T
+    with a NaN or an infinity raises ValueError, as `np.linalg.eigh`'s
+    `LinAlgError` did.
+    """
+    a = [float(x) for x in alpha]
+    b = [0.0] + [abs(float(x)) for x in beta]
+    if not (all(map(math.isfinite, a)) and all(map(math.isfinite, b))):
+        raise ValueError("Lanczos tridiagonal not finite")
+    e = math.frexp(max(max(map(abs, a)), max(b)))[1]
+    a = [math.ldexp(x, -e) for x in a]
+    b = [math.ldexp(x, -e) for x in b]
+    b2 = [x * x for x in b]
+    right = b[1:] + [0.0]
+    top = max(ai + bl + br for ai, bl, br in zip(a, b, right))
+    bottom = min(ai - bl - br for ai, bl, br in zip(a, b, right))
+    if top == bottom:  # T = a I, m = 1 among them: every unit vector is an eigenvector
+        return math.ldexp(top, e), 1.0
+    scale = max(abs(top), abs(bottom))  # >= ||T|| (Gershgorin), in [1/2, 3]
+    tol = 4.0 * _EPS * scale
+    pivmin = 2.0**-1000  # LAPACK's safe minimum times max(1, max b2), which is 1 here
+    lo, hi = max(a), None  # a Rayleigh quotient bounds lambda_max below
+    if trial is not None:
+        trial = math.ldexp(trial, -e)
+    x = trial if trial is not None and lo < trial < top else top
+    while True:
+        n, step = _laguerre_step(a, b2, x, pivmin)
+        near_lo = n > 0  # whether the last point, the one nearest the root, is below it
+        if n:
+            lo = x
+            if hi is None and x < top:
+                x = top
+                continue
+            break
+        hi = x
+        if not (step > tol and hi - step > lo):  # also ends on a NaN step
+            break
+        x = hi - step
+    if hi is None:  # lambda_max is at the Gershgorin bound
+        return math.ldexp(lo, e), _last_entry(a, b, lo, scale)
+    delta = tol
+    while True:
+        x = min(lo + delta, hi) if near_lo else hi - delta
+        if _count_above(a, b2, x, pivmin):
+            lo = x
+            if not near_lo:
+                break
+        else:
+            hi = x
+            if near_lo:
+                break
+        delta *= 8.0
+    while hi - lo > tol:
+        x = 0.5 * (lo + hi)
+        if _count_above(a, b2, x, pivmin):
+            lo = x
+        else:
+            hi = x
+    return math.ldexp(lo, e), _last_entry(a, b, hi, scale)
+
+
+def _last_entry(a, b, sigma, scale):
+    """|z_m| / ||z|| for (sigma I - T) z = scale * 1, by the Thomas algorithm with pivots floored at eps * scale."""
+    floor = _EPS * scale
+    pivots, rhs = [], []
+    u, r = 1.0, 0.0
+    for ai, bi in zip(a, b):
+        ell = -bi / u
+        u = sigma - ai + ell * bi
+        if abs(u) < floor:
+            u = floor if u >= 0.0 else -floor
+        r = scale - ell * r
+        pivots.append(u)
+        rhs.append(r)
+    z = rhs[-1] / pivots[-1]
+    last, total = z, z * z
+    for i in range(len(a) - 2, -1, -1):
+        z = (rhs[i] + b[i + 1] * z) / pivots[i]
+        total += z * z
+    return abs(last) / math.sqrt(total)
+
+
 def op_norm_estimate(f, hbar, J, window=None, tol=1e-8, max_iter=None):
     """Estimate the deformed C*-norm of `f` with sandwich certificates.
 
@@ -300,6 +471,18 @@ def op_norm_estimate(f, hbar, J, window=None, tol=1e-8, max_iter=None):
     value is a lower bound on ||L||^2 at every step, also in floating point
     (Paige, Linear Algebra Appl. 34, 1980).  Non-convergence within the
     step cap is reported through `residual`, not raised.
+
+    A check (about 8 per doubling of the step count, and at the end)
+    takes the top Ritz value mu and the last entry y_m of its unit
+    eigenvector from `_top_ritz`: O(m) passes of the Sturm pivot
+    recurrence on Python floats, Laguerre steps and a bisection to a
+    few roundoffs, returning the lower end of the bracket, at which a
+    count shows an eigenvalue >= mu, so `op_lower` = sqrt(mu) stays a
+    lower bound; and one inverse-iteration step for |y_m|.  Each check
+    starts from the last one's mu + 2 beta |y_m|: T then has an
+    eigenvalue within beta |y_m| of that mu, so the point lies above
+    the spectrum unless a larger eigenvalue has appeared, which a count
+    checks before the point is used.  No LAPACK routine runs.
 
     Each step applies L and then L*.  When `fft_plan` finds that the
     FFT kernel counts fewer operations, (rows + 1) N log2 N (2W+1)^(d-1),
@@ -382,7 +565,7 @@ def op_norm_estimate(f, hbar, J, window=None, tol=1e-8, max_iter=None):
     q_prev = np.zeros(n, dtype=np.complex128)
     scratch = np.empty(n, dtype=np.complex128)
     alpha, beta = [], []
-    a_max, mu, residual, b, check = -np.inf, 0.0, np.inf, 0.0, 1
+    a_max, mu, residual, b, check, trial = -np.inf, 0.0, np.inf, 0.0, 1, None
     for m in range(1, steps + 1):
         w = normal(q)
         a = float(np.real(np.vdot(q, w)))
@@ -396,13 +579,13 @@ def op_norm_estimate(f, hbar, J, window=None, tol=1e-8, max_iter=None):
         beta.append(b)
         a_max = max(a_max, a)
         # b / max(alpha) bounds the Ritz estimate, so an invariant Krylov
-        # space stops here; else the O(m^3) solve runs ~8 times per doubling
+        # space stops here; else the O(m) check runs ~8 times per doubling
         if m >= check or m == steps or b <= tol * a_max:
-            theta, y = np.linalg.eigh(np.diag(alpha) + np.diag(beta[:-1], -1), UPLO="L")
-            mu = float(theta[-1])
-            residual = b * abs(float(y[-1, -1])) / max(mu, 1e-300)
+            mu, y_m = _top_ritz(alpha, beta[:-1], trial)
+            residual = b * y_m / max(mu, 1e-300)
             if residual <= tol:
                 break
+            trial = mu + 2.0 * b * y_m
             check = m + 1 + m // 8
         np.divide(w, b, out=q_prev)
         q_prev, q = q, q_prev

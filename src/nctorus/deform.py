@@ -169,6 +169,21 @@ def _generator_weight(hbar):
     return -2.0 * np.pi / hbar, lambda k: np.sin(2.0 * np.pi * hbar * k)
 
 
+def _x_minus_sin(x):
+    """x - sin x, elementwise, to a few roundoffs: (2 pi/hbar)(x - sin x) at x = 2 pi hbar k is L_hbar's weight minus L_0's.
+
+    Where |x| < 1 the difference would cancel (x - sin x ~ x^3/6), so it
+    is summed as x^3/6 (1 - x^2/20 (1 - x^2/42 (...))), nested to the
+    x^19 term, whose share is below 6/19! < 1e-16; elsewhere the
+    subtraction loses at most a factor 6.3 of relative accuracy.
+    """
+    x2 = np.minimum(x * x, 1.0)  # the series is kept only where |x| < 1
+    series = 1.0
+    for j in range(8, 0, -1):
+        series = 1.0 - x2 / ((2 * j + 2) * (2 * j + 3)) * series
+    return np.where(x2 < 1.0, x * x2 / 6.0 * series, x - np.sin(x))
+
+
 def _twisted_convolution(f, g, J, weight, cap, what):
     """The sum over the modes p of f and q of g of c_p d_q weight(p.Jq) e_{p+q}.
 
@@ -207,32 +222,40 @@ def poisson_bracket(f, g, J, cap=DEFAULT_MODE_CAP):
 
 
 def scaled_commutator_residual(H, g, hbar, J, cap=DEFAULT_MODE_CAP):
-    """(pi / (i hbar)) [H, g]_h - {H, g}, weight L_hbar's minus L_0's.
+    """(pi / (i hbar)) [H, g]_h - {H, g}, weight L_hbar's minus L_0's, (2 pi/hbar)(x - sin x) at x = 2 pi hbar k.
 
     The antisymmetrized residual whose smallness drives the classical
     limit; on fixed single-mode pairs its size decays like hbar^2.
-    Requires hbar != 0.
+    `_x_minus_sin` keeps the weight's relative accuracy as hbar -> 0,
+    where subtracting the two O(k) weights would cancel.  Requires
+    hbar != 0.
     """
     h = _as_hbar(hbar)
     if h == 0.0:
         raise ZeroDivisionError("scaled commutator residual needs hbar != 0")
-    (scale, shape), (scale_0, shape_0) = _generator_weight(h), _generator_weight(0.0)
-    weight = lambda k: scale * shape(k) - scale_0 * shape_0(k)  # noqa: E731
+    scale = 2.0 * np.pi / h
+    weight = lambda k: scale * _x_minus_sin(2.0 * np.pi * h * k)  # noqa: E731
     return _twisted_convolution(H, g, J, weight, cap, "scaled commutator residual")
 
 
 def one_sided_residual(F, g, hbar, J, cap=DEFAULT_MODE_CAP):
     """(2 pi / (i hbar)) (F x_h g - F g) - {F, g}, weight (2 pi/(i hbar))(e(-hbar k) - 1) minus L_0's.
 
-    The one-sided variant of the residual; decays like hbar^1 on fixed
-    elements, one order slower than the antisymmetrized version.
+    At x = 2 pi hbar k that weight is (2 pi/hbar)((x - sin x) + i (1 - cos x)),
+    with x - sin x from `_x_minus_sin` and 1 - cos x as 2 sin^2(x/2),
+    neither of which cancels as hbar -> 0.  The one-sided variant of
+    the residual; decays like hbar^1 on fixed elements, one order
+    slower than the antisymmetrized version.
     """
     h = _as_hbar(hbar)
     if h == 0.0:
         raise ZeroDivisionError("one-sided residual needs hbar != 0")
-    scale_0, shape_0 = _generator_weight(0.0)
-    c = 2.0 * np.pi / (1j * h)
-    weight = lambda k: c * (np.exp(-2j * np.pi * h * k) - 1.0) - scale_0 * shape_0(k)  # noqa: E731
+    scale = 2.0 * np.pi / h
+
+    def weight(k):
+        x = 2.0 * np.pi * h * k
+        return scale * (_x_minus_sin(x) + 2j * np.sin(0.5 * x) ** 2)
+
     return _twisted_convolution(F, g, J, weight, cap, "one-sided residual")
 
 

@@ -300,24 +300,31 @@ class FitResult:
 
 
 def fit_order(pairs):
-    """Ordinary least squares on log-log (hbar, err) pairs.
+    """Ordinary least squares on log-log (hbar, err) pairs, in closed form.
 
-    Non-positive errors are excluded; fewer than 3 usable pairs refuse
-    the fit with a ValueError.
+    With x = log hbar and y = log err centred on their means, the slope
+    is sum dx dy / sum dx^2 and the intercept mean(y) - slope mean(x):
+    the line `np.polyfit(x, y, 1)` fits, without a LAPACK solve.  Pairs
+    with a non-positive hbar or error are excluded; fewer than 3 usable
+    pairs, or fewer than 2 distinct hbar among them, refuse the fit with
+    a ValueError.
     """
     usable = [(h, e) for h, e in pairs if e > 0.0 and h > 0.0]
     if len(usable) < 3:
         raise ValueError(f"need >= 3 positive pairs to fit, got {len(usable)}")
     x = np.log(np.array([h for h, _ in usable]))
     y = np.log(np.array([e for _, e in usable]))
-    slope, intercept = np.polyfit(x, y, 1)
-    pred = slope * x + intercept
-    ss_res = float(np.sum((y - pred) ** 2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    x_mean, y_mean = float(x.mean()), float(y.mean())
+    dx, dy = x - x_mean, y - y_mean
+    sxx = float(np.sum(dx * dx))
+    if sxx == 0.0:
+        raise ValueError("need >= 2 distinct hbar to fit")
+    slope = float(np.sum(dx * dy)) / sxx
+    intercept = y_mean - slope * x_mean
+    ss_res = float(np.sum((y - (slope * x + intercept)) ** 2))
+    ss_tot = float(np.sum(dy * dy))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return FitResult(
-        slope=float(slope), intercept=float(intercept), r_squared=r2, n_used=len(usable)
-    )
+    return FitResult(slope=slope, intercept=intercept, r_squared=r2, n_used=len(usable))
 
 
 @dataclass(frozen=True)
@@ -338,7 +345,11 @@ def commutator_limit_scan(
     `variant` selects the antisymmetrized residual (decay order 2 on
     single-mode pairs) or the one-sided residual (decay order 1).
     Refuses to fit with fewer than 3 grid points; identically zero
-    residuals report a degenerate scan instead of a fit.
+    residuals report a degenerate scan instead of a fit.  A grid that
+    repeats an |hbar| raises ValueError before any residual is formed:
+    the fit, like a scan's, takes |hbar| as its abscissa, so hbar and
+    -hbar would be one point of it (`ExperimentConfig` refuses such a
+    grid too).
     """
     if variant == "antisymmetrized":
         residual_fn = scaled_commutator_residual
@@ -348,6 +359,8 @@ def commutator_limit_scan(
         raise ValueError(f"unknown variant {variant!r}")
     if not hbar_grid:
         raise ValueError("hbar grid must be nonempty")
+    if len({abs(h) for h in hbar_grid}) < len(hbar_grid):
+        raise ValueError("hbar grid must not repeat an |hbar|")
     records = []
     for h in hbar_grid:
         r = residual_fn(H, g, h, J)

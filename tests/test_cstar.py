@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -476,6 +478,145 @@ class TestKernelChoice:
         for f, hbar, J, kwargs, est in calls:
             assert fft_plan(f, kwargs["window"]) is not None
             assert_same_estimate(est, sparse_estimate(monkeypatch, f, hbar, J, **kwargs))
+
+
+def eigh_top_ritz(alpha, beta, trial=None):
+    """The oracle of `cstar._top_ritz`: a dense `np.linalg.eigh` of the tridiagonal."""
+    theta, y = np.linalg.eigh(np.diag(alpha) + np.diag(beta, -1), UPLO="L")
+    return float(theta[-1]), abs(float(y[-1, -1]))
+
+
+def lanczos_tridiagonal(eigenvalues, rng):
+    """(alpha, beta) of Lanczos with full reorthogonalization on diag(eigenvalues): T has their spectrum."""
+    n = len(eigenvalues)
+    Q = np.zeros((n, n))
+    q = rng.standard_normal(n)
+    Q[:, 0] = q / np.linalg.norm(q)
+    alpha, beta = np.zeros(n), np.zeros(n - 1)
+    for j in range(n):
+        w = eigenvalues * Q[:, j]
+        alpha[j] = Q[:, j] @ w
+        w -= Q[:, : j + 1] @ (Q[:, : j + 1].T @ w)
+        w -= Q[:, : j + 1] @ (Q[:, : j + 1].T @ w)
+        if j + 1 < n:
+            beta[j] = np.linalg.norm(w)
+            Q[:, j + 1] = w / beta[j]
+    return alpha, beta
+
+
+@st.composite
+def tridiagonals(draw):
+    """Symmetric tridiagonals of order 1-300: generic, split by zero or tiny off-diagonals, or with a clustered top."""
+    m = draw(st.integers(1, 300))
+    kind = draw(st.sampled_from(["generic", "zero", "tiny", "cluster", "signed"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "cluster":
+        # a top cluster of 2-4 values, spread 1e-3 to 1e-12 of the top
+        k = min(m, int(rng.integers(2, 5)))
+        spread = 10.0 ** -rng.uniform(3, 12)
+        top = 1.0 - spread * np.sort(rng.uniform(0, 1, k))
+        eigenvalues = np.concatenate([top, rng.uniform(0, 0.9, m - k)])
+        return lanczos_tridiagonal(eigenvalues, rng)
+    alpha = rng.uniform(0, 10, m)
+    beta = rng.uniform(0, 3, m - 1)
+    if kind == "zero":
+        beta[rng.uniform(0, 1, m - 1) < 0.3] = 0.0
+    elif kind == "tiny":
+        beta[rng.uniform(0, 1, m - 1) < 0.3] *= 1e-12
+    elif kind == "signed":
+        alpha -= 5.0
+        beta *= rng.choice([-1.0, 1.0], m - 1)
+    return alpha, beta
+
+
+def assert_matches_eigh(alpha, beta, mu, y_m):
+    """mu is eigh's top eigenvalue to 1e-13 of ||T|| and is certified by a count; |y_m| is eigh's to 1e-10 where the top is separated."""
+    theta, y = np.linalg.eigh(np.diag(alpha) + np.diag(beta, -1), UPLO="L")
+    norm = np.abs(theta).max()
+    assert abs(mu - theta[-1]) <= 1e-13 * norm
+    # the certificate: a count at mu shows an eigenvalue >= mu
+    b2 = [0.0] + (beta * beta).tolist()
+    assert cstar._count_above(alpha.tolist(), b2, mu, 2.0**-1000 * max(1.0, *b2)) >= 1
+    # the eigenvector is determined to roundoff / gap
+    if len(theta) == 1 or theta[-1] - theta[-2] > 1e-4 * norm:
+        assert abs(y_m - abs(y[-1, -1])) <= 1e-10
+
+
+class TestTopRitz:
+    """`cstar._top_ritz`, Sturm counts and one inverse-iteration step, against a dense `eigh`."""
+
+    @given(T=tridiagonals())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_eigh(self, T):
+        alpha, beta = T
+        assert_matches_eigh(alpha, beta, *cstar._top_ritz(alpha.tolist(), beta.tolist()))
+
+    @given(T=tridiagonals(), shift=st.sampled_from([-1e-3, -1e-9, 0.0, 1e-12, 1e-6, 0.5]))
+    @settings(max_examples=50, deadline=None)
+    def test_trial_point_only_starts_the_search(self, T, shift):
+        # a trial below lambda_max, at it or above it gives the same answer
+        alpha, beta = T
+        top = float(np.linalg.eigvalsh(np.diag(alpha) + np.diag(beta, -1))[-1])
+        trial = top + shift * max(1.0, abs(top))
+        assert_matches_eigh(alpha, beta, *cstar._top_ritz(alpha.tolist(), beta.tolist(), trial))
+
+    @pytest.mark.parametrize(
+        "alpha, beta",
+        [([np.nan, 1.0], [1.0]), ([1.0, np.nan], [1.0]), ([1.0, 2.0], [-np.inf]), ([np.inf], [])],
+    )
+    def test_refuses_a_non_finite_tridiagonal(self, alpha, beta):
+        with pytest.raises(ValueError, match="not finite"):
+            cstar._top_ritz(alpha, beta)
+
+    @given(T=tridiagonals(), k=st.integers(-1000, 1000))
+    @settings(max_examples=60, deadline=None)
+    def test_scales_exactly_by_powers_of_two(self, T, k):
+        # squared entries near 1e-300 underflow and near 1e300 overflow; the
+        # routine's own power-of-two scaling keeps both out of the recurrence
+        alpha, beta = T
+        nonzero = np.abs(np.concatenate([alpha, beta]))
+        nonzero = nonzero[nonzero > 0]
+        # the scaled entries stay finite normal floats, so scaling them loses no bit
+        assume(math.frexp(nonzero.min())[1] + k >= -1021 and math.frexp(nonzero.max())[1] + k <= 1024)
+        mu, y_m = cstar._top_ritz(alpha.tolist(), beta.tolist())
+        scaled = cstar._top_ritz(np.ldexp(alpha, k).tolist(), np.ldexp(beta, k).tolist())
+        assert scaled == (math.ldexp(mu, k), y_m)
+
+    @pytest.mark.parametrize("c", [1e-300, 1e-160, 1e160, 1e300])
+    def test_extreme_magnitudes_match_eigh(self, c):
+        alpha, beta = np.array([1.0, 2.0, 0.5]), np.array([0.1, 0.7])
+        mu, y_m = cstar._top_ritz((c * alpha).tolist(), (c * beta).tolist())
+        theta, y = np.linalg.eigh(np.diag(alpha) + np.diag(beta, -1))
+        assert mu / c == pytest.approx(theta[-1], rel=1e-13)
+        assert y_m == pytest.approx(abs(y[-1, -1]), rel=1e-12)
+
+    def test_subnormal_tridiagonal(self):
+        # integer multiples of the least subnormal, exact; the answer rounds to one too
+        alpha, beta = np.array([2000.0, 4000.0, 1000.0]), np.array([200.0, 1400.0])
+        tiny = 2.0**-1074
+        mu, y_m = cstar._top_ritz((tiny * alpha).tolist(), (tiny * beta).tolist())
+        theta, y = np.linalg.eigh(np.diag(alpha) + np.diag(beta, -1))
+        assert abs(mu / tiny - theta[-1]) <= 0.5
+        assert y_m == pytest.approx(abs(y[-1, -1]), rel=1e-12)
+
+    def test_estimate_of_an_overflowing_element_raises(self, J):
+        # L*L squares coefficients of 1e77, so beta^2 overflows
+        f = 1e77 * (e((1, 0)) + 0.5 * e((0, 1)) + e((-1, 1)))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError):
+            op_norm_estimate(f, 0.3, J, window=8)
+
+    def test_scalar_multiple_of_the_identity(self):
+        assert cstar._top_ritz([2.5, 2.5, 2.5], [0.0, 0.0]) == (2.5, 1.0)
+        assert cstar._top_ritz([3.0], []) == (3.0, 1.0)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_estimates_match_the_eigh_loop(self, J, seed, monkeypatch):
+        # criterion 8's elements, with the dense solve as the check's oracle
+        rng = np.random.default_rng(seed)
+        f = random_element(rng, radius=3, n_terms=4)
+        est = op_norm_estimate(f, 0.3, J, window=8)
+        monkeypatch.setattr(cstar, "_top_ritz", eigh_top_ritz)
+        assert_same_estimate(est, op_norm_estimate(f, 0.3, J, window=8))
 
 
 class TestConvergenceReporting:

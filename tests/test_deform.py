@@ -1,4 +1,5 @@
 import tracemalloc
+from decimal import Decimal, localcontext
 from unittest import mock
 
 import numpy as np
@@ -631,6 +632,69 @@ class TestScaledResidual:
         ]
         fit = fit_order(pairs)
         assert fit.slope == pytest.approx(1.0, abs=0.1)
+
+
+#: pi to 50 digits, for the `decimal` references below.
+PI_50 = Decimal("3.14159265358979323846264338327950288419716939937510")
+
+
+def decimal_sin_cos(x):
+    """(sin x, cos x) of a Decimal x by their Taylor series, at 60 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        sin, cos, term, n = Decimal(0), Decimal(0), Decimal(1), 0
+        while n < 2 or abs(term) > Decimal("1e-70"):
+            if n % 4 in (0, 2):
+                cos += term if n % 4 == 0 else -term
+            else:
+                sin += term if n % 4 == 1 else -term
+            n += 1
+            term = term * x / n
+        return sin, cos
+
+
+def decimal_residual_weights(hbar, k):
+    """The antisymmetrized and one-sided residual weights at pairing k, to 50 digits.
+
+    With x = 2 pi hbar k these are (2 pi/hbar)(x - sin x) and
+    (2 pi/hbar)((x - sin x) + i (1 - cos x)), hbar the exact value of the float.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 60
+        h = Decimal(hbar)
+        x = 2 * PI_50 * h * k
+        sin, cos = decimal_sin_cos(x)
+        scale = 2 * PI_50 / h
+        return scale * (x - sin), (scale * (x - sin), scale * (1 - cos))
+
+
+class TestResidualWeightsAgainstDecimal:
+    """Both residuals keep their relative accuracy as hbar -> 0, where L_hbar - L_0 cancels."""
+
+    @pytest.mark.parametrize("hbar", [0.3, 0.1, -0.05, 1e-2, 1e-4, -1e-5, 1e-6, 1e-7])
+    @pytest.mark.parametrize(
+        "H, g, k",
+        [(e((1, 0)), e((0, 1)), 1), (e((1, 1)), e((-1, 1)), 2), (e((2, 0)), e((1, -1)), -2)],
+        ids=["pairing=1", "pairing=2", "pairing=-2"],
+    )
+    def test_single_pairs(self, J, H, g, k, hbar):
+        anti, (re, im) = decimal_residual_weights(hbar, k)
+        mode = tuple(int(v) for v in H.modes[0] + g.modes[0])
+        got = scaled_commutator_residual(H, g, hbar, J).coefficient(mode)
+        assert abs(Decimal(got.real) - anti) <= Decimal("1e-13") * abs(anti)
+        assert got.imag == 0.0
+        got = one_sided_residual(H, g, hbar, J).coefficient(mode)
+        err = ((Decimal(got.real) - re) ** 2 + (Decimal(got.imag) - im) ** 2).sqrt()
+        assert err <= Decimal("1e-13") * (re * re + im * im).sqrt()
+
+    @pytest.mark.parametrize(
+        "x", [1e-9, -3e-6, 1e-3, 0.25, -0.75, 0.999, 1.0, -1.001, 2.0, 7.5, -40.0]
+    )
+    def test_x_minus_sin(self, x):
+        sin, _ = decimal_sin_cos(Decimal(x))
+        want = Decimal(x) - sin
+        got = deform._x_minus_sin(np.array([x]))[0]
+        assert abs(Decimal(float(got)) - want) <= Decimal("1e-13") * abs(want)
 
 
 def pair_mass(f, g, J):

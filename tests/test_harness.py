@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import nctorus.cstar as cstar
@@ -89,6 +89,56 @@ class TestFitOrder:
         pairs = [(0.1, 1.0), (0.05, 0.5), (0.025, 0.25), (0.0125, 0.0)]
         fit = fit_order(pairs)
         assert fit.n_used == 3
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            [(0.1, 1.0), (0.1, 0.5), (0.1, 0.25)],
+            [(0.1, 1.0), (0.1, 0.5), (0.1, 0.2), (0.05, 0.0), (0.025, -1.0)],  # one left after exclusion
+        ],
+        ids=["one-hbar", "one-hbar-after-exclusion"],
+    )
+    def test_refuses_a_single_hbar(self, pairs):
+        with pytest.raises(ValueError, match="distinct hbar"):
+            fit_order(pairs)
+
+    @given(
+        points=st.lists(
+            st.tuples(st.floats(-9.0, 0.0), st.floats(-30.0, 5.0)),
+            min_size=3,
+            max_size=12,
+            unique_by=lambda p: p[0],
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_polyfit(self, points):
+        # log hbar spread over at least 0.1, so the slope is well conditioned
+        log_h = [x for x, _ in points]
+        assume(max(log_h) - min(log_h) >= 0.1)
+        pairs = [(math.exp(x), math.exp(y)) for x, y in points]
+        fit = fit_order(pairs)
+        x = np.log([h for h, _ in pairs])
+        y = np.log([err for _, err in pairs])
+        slope, intercept = np.polyfit(x, y, 1)
+        assert abs(fit.slope - slope) <= 1e-12 * max(1.0, abs(slope))
+        assert abs(fit.intercept - intercept) <= 1e-12 * max(1.0, abs(intercept))
+        assert fit.n_used == len(pairs)
+
+
+class TestNoDenseSolve:
+    """The order fit and the norm's Ritz check run no LAPACK solve; `np.polyfit` and `eigh` are test oracles only."""
+
+    def test_scan_and_lanczos_estimate(self, monkeypatch):
+        def dense(*args, **kwargs):
+            raise AssertionError("a dense LAPACK solve ran")
+
+        for owner, name in ((np, "polyfit"), (np.linalg, "lstsq"), (np.linalg, "eigh")):
+            monkeypatch.setattr(owner, name, dense)
+        result = scan(small_config(), write=False)
+        assert isinstance(result.summary["per_t"]["0.05"]["fitted_order"], float)
+        # two rows, so the Lanczos loop and its Ritz checks run
+        est = op_norm_estimate(e((1, 0)) + 0.5 * e((0, 1)) + e((-1, 1)), 0.3, SymplecticStructure.standard(), window=8)
+        assert est.iterations >= 1 and est.residual <= 1e-8
 
 
 class TestConfigValidation:
@@ -363,6 +413,13 @@ class TestCommutatorLimitScan:
     def test_refuses_short_grid(self, J, shear_hamiltonian):
         with pytest.raises(ValueError):
             commutator_limit_scan(shear_hamiltonian, e((0, 1)), (0.1, 0.05), J, window=8)
+
+    @pytest.mark.parametrize("grid", [(0.1, -0.1, 0.1), (0.1, 0.05, -0.05, 0.025)])
+    def test_refuses_a_repeated_abs_hbar(self, J, shear_hamiltonian, grid, monkeypatch):
+        # the residual norm is even in hbar, so the fit would see fewer points
+        monkeypatch.setattr(harness, "scaled_commutator_residual", no_record)
+        with pytest.raises(ValueError, match="repeat"):
+            commutator_limit_scan(shear_hamiltonian, e((0, 1)), grid, J, window=8)
 
     def test_unknown_variant(self, J, shear_hamiltonian):
         with pytest.raises(ValueError):
@@ -716,9 +773,12 @@ class TestCli:
              "--hbar-grid", "0.1,0.05"],
             ["commutator-scan", "--hamiltonian", json.dumps(SHEAR), "--g", json.dumps(OBS),
              "--hbar-grid", "0.1,0,0.05"],
+            # the fit's abscissa is |hbar|, so this grid is one point
+            ["commutator-scan", "--hamiltonian", json.dumps(SHEAR), "--g", json.dumps(OBS),
+             "--hbar-grid", "0.1,-0.1,0.1"],
         ],
         ids=["flow-step-zero", "flow-step-negative", "norm-tol-negative", "evolve-quantum-hbar-zero", "commutator-scan-short-grid",
-             "commutator-scan-hbar-zero"],
+             "commutator-scan-hbar-zero", "commutator-scan-repeated-abs-hbar"],
     )
     def test_bad_number_exits_2(self, argv, capsys):
         try:
